@@ -15,9 +15,9 @@ are gated:
     (throughput is items/s or a dimensionless speedup ratio — higher is
     better in both cases);
   - when the baseline record carries "floor": F, current.throughput must
-    also be >= F (an absolute acceptance bound, e.g. 1.3 for the SIMD
-    radix speedups, 1.0 — never slower than fork-join — for the
-    task-graph dispatch speedup).
+    also be >= F (an absolute acceptance bound, e.g. 1.5 for the ACE
+    exchange speedup, 1.0 — never slower than staging — for the fused
+    pipeline speedups).
 
 Untracked records are trajectory data: reported, never gated. Exit status 0
 when every tracked record passes, 1 otherwise.

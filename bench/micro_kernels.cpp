@@ -1,12 +1,12 @@
 // google-benchmark microkernels for the primitives behind the paper's cost
 // model: 1-D/3-D FFTs (the Fock operator is NG-point FFT bound), batched vs
-// band-by-band FFT submission (paper §3.2 step 2), fork-join vs persistent
-// task-graph dispatch, overlap-matrix GEMMs (Alg. 3), single-precision wire
+// band-by-band FFT submission (paper §3.2 step 2), fused vs staged operator
+// pipelines, overlap-matrix GEMMs (Alg. 3), single-precision wire
 // conversion (step 4), and one full Fock pair solve.
 //
 // Carries its own main(): `--json <path>` additionally writes the runs (and
-// derived speedup records such as taskgraph_speedup / simd_speedup) in the
-// bench_json.hpp schema for the CI perf gate (bench/compare_bench.py).
+// the derived pipeline_speedup records) in the bench_json.hpp schema for
+// the CI perf gate (bench/compare_bench.py).
 
 #include <benchmark/benchmark.h>
 
@@ -52,33 +52,6 @@ void BM_Fft1D(benchmark::State& state) {
 }
 BENCHMARK(BM_Fft1D)->Arg(15)->Arg(60)->Arg(90)->Arg(120);
 
-void BM_RadixKernelSweep(benchmark::State& state) {
-  // Scalar vs SIMD radix kernels on batched contiguous lines — the
-  // single-thread inner loop of every 3-D axis pass, isolated from
-  // threading and cache effects by streaming 64 resident lines.
-  // Arg(0): line length; Arg(1): 0 = scalar kernel, 1 = SIMD kernel.
-  // Compare rows at equal n to read off the SIMD speedup (acceptance:
-  // >= 1.3x on radix-2/4 dominated lengths; see bench/README.md).
-  const std::size_t n = state.range(0);
-  const auto kernel =
-      state.range(1) == 0 ? fft::RadixKernel::kScalar : fft::RadixKernel::kSimd;
-  fft::FftPlan1D plan(n, kernel);
-  const std::size_t lines = 64;
-  auto data = random_vec(n * lines);
-  std::vector<Complex> out(n), work(n);
-  for (auto _ : state) {
-    for (std::size_t l = 0; l < lines; ++l) {
-      plan.execute(data.data() + l * n, 1, out.data(), work.data(), -1);
-      benchmark::DoNotOptimize(out.data());
-    }
-  }
-  state.SetItemsProcessed(state.iterations() * n * lines);
-}
-BENCHMARK(BM_RadixKernelSweep)
-    ->ArgsProduct({{16, 32, 60, 64, 90, 120, 128}, {0, 1}})
-    ->ArgNames({"n", "simd"});
-
-
 // Repeated in-place unnormalized forwards overflow to inf/NaN within a few
 // iterations, and non-finite arithmetic runs ~2.5x slower, corrupting the
 // measurement. Rescaling by 1/sqrt(N) after each transform keeps the RMS
@@ -101,23 +74,6 @@ void BM_Fft3D(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * fft.size());
 }
 BENCHMARK(BM_Fft3D)->Arg(15)->Arg(30);
-
-void BM_Fft3DRadixKernel(benchmark::State& state) {
-  // End-to-end 3-D effect of the radix kernel on the Si8 wavefunction grid.
-  exec::set_num_threads(1);
-  const auto kernel =
-      state.range(0) == 0 ? fft::RadixKernel::kScalar : fft::RadixKernel::kSimd;
-  fft::Fft3D fft({15, 15, 15}, kernel);
-  auto data = random_vec(fft.size());
-  const double s = 1.0 / std::sqrt(static_cast<double>(fft.size()));
-  for (auto _ : state) {
-    fft.forward(data.data());
-    rescale(data.data(), fft.size(), s);
-    benchmark::DoNotOptimize(data.data());
-  }
-  state.SetItemsProcessed(state.iterations() * fft.size());
-}
-BENCHMARK(BM_Fft3DRadixKernel)->Arg(0)->Arg(1)->ArgNames({"simd"});
 
 void BM_Fft3DBatched(benchmark::State& state) {
   // Batched submission (one plan, contiguous batch) vs the loop in
@@ -161,39 +117,6 @@ void BM_Fft3DBatchedThreaded(benchmark::State& state) {
 BENCHMARK(BM_Fft3DBatchedThreaded)
     ->ArgsProduct({{1, 2, 4}, {1, 4, 8, 16}})
     ->ArgNames({"threads", "batch"})
-    ->UseRealTime();
-
-void BM_Fft3DDispatch(benchmark::State& state) {
-  // Fork-join vs persistent-task-graph dispatch on small batched grids —
-  // the per-call overhead the TaskGraph exists to remove. Fork-join pays
-  // one pool wake plus one full barrier per axis pass (three per
-  // transform); the graph replay pays one wake total, and batch members
-  // pipeline through the passes with no global barrier. Compare graph:1
-  // against graph:0 at equal (threads, n, batch); the derived
-  // taskgraph_speedup records feed the perf gate (BENCH_taskgraph.json:
-  // committed baseline 1.39x on the 16^3 transform at 4 threads, CI floor
-  // 1.0 = never slower than fork-join).
-  const auto path = state.range(0) ? fft::ExecPath::kTaskGraph : fft::ExecPath::kForkJoin;
-  const std::size_t threads = state.range(1);
-  const std::size_t n = state.range(2);
-  const std::size_t nb = state.range(3);
-  exec::set_num_threads(threads);
-  fft::Fft3D fft({n, n, n}, fft::RadixKernel::kAuto, path);
-  auto data = random_vec(fft.size() * nb);
-  const double s = 1.0 / std::sqrt(static_cast<double>(fft.size()));
-  fft.forward_many(data.data(), nb);  // build the cached graph outside timing
-  rescale(data.data(), fft.size() * nb, s);
-  for (auto _ : state) {
-    fft.forward_many(data.data(), nb);
-    rescale(data.data(), fft.size() * nb, s);
-    benchmark::DoNotOptimize(data.data());
-  }
-  state.SetItemsProcessed(state.iterations() * fft.size() * nb);
-  exec::set_num_threads(1);
-}
-BENCHMARK(BM_Fft3DDispatch)
-    ->ArgsProduct({{0, 1}, {1, 4}, {16}, {1, 2, 4, 8}})
-    ->ArgNames({"graph", "threads", "n", "batch"})
     ->UseRealTime();
 
 void BM_OperatorPipeline(benchmark::State& state) {
@@ -395,11 +318,11 @@ class CollectingReporter : public benchmark::ConsoleReporter {
 /// Adds "<out_name>" ratio records: the mean throughput over all
 /// "<bench>/.../<key>:1/..." runs of one config divided by the mean of the
 /// matching "<key>:0" runs. The mean (not median) keeps the occasional
-/// scheduler-thrash spike that IS part of each dispatch path's real cost;
+/// scheduler-thrash spike that IS part of each side's real cost;
 /// run the harness with --benchmark_repetitions and
 /// --benchmark_enable_random_interleaving so system drift averages into
 /// both sides. The config of the derived record is the shared remainder
-/// ("threads:4/n:16/batch:8").
+/// ("op:0/threads:4").
 void derive_speedups(pwdft::benchjson::Writer& w, const std::string& bench,
                      const std::string& key, const std::string& out_name) {
   const std::string on = key + ":1";
@@ -447,9 +370,6 @@ int main(int argc, char** argv) {
     pwdft::benchjson::Writer writer;
     CollectingReporter reporter(&writer);
     benchmark::RunSpecifiedBenchmarks(&reporter);
-    derive_speedups(writer, "BM_Fft3DDispatch", "graph", "taskgraph_speedup");
-    derive_speedups(writer, "BM_RadixKernelSweep", "simd", "simd_speedup");
-    derive_speedups(writer, "BM_Fft3DRadixKernel", "simd", "fft3d_simd_speedup");
     derive_speedups(writer, "BM_OperatorPipeline", "pipeline", "pipeline_speedup");
     writer.write(json_path);
   }

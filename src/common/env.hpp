@@ -5,12 +5,11 @@
 ///
 /// The scheduling and algorithm knobs (docs/PERFORMANCE.md) are resolved
 /// from the environment at option-construction time. A malformed value must
-/// fail loudly, exactly like PWDFT_FFT_KERNEL always has: a typo
-/// (`PWDFT_MTS_INTERVAL=four`, `PWDFT_ACE=On`) that silently resolves to
-/// "off" or "default" runs the wrong configuration through an entire
-/// experiment. Every helper here therefore throws pwdft::Error — naming the
-/// variable and the accepted forms — on anything it cannot parse exactly;
-/// an unset variable yields the caller's default.
+/// fail loudly: a typo (`PWDFT_MTS_INTERVAL=four`, `PWDFT_ACE=On`) that
+/// silently resolves to "off" or "default" runs the wrong configuration
+/// through an entire experiment. Every helper here therefore throws
+/// pwdft::Error — naming the variable and the accepted forms — on anything
+/// it cannot parse exactly; an unset variable yields the caller's default.
 
 #include <string>
 

@@ -25,7 +25,6 @@ Simulation::Simulation(std::shared_ptr<const ham::PlanewaveSetup> setup,
   hopt.use_nonlocal = opt.nonlocal;
   hopt.use_ace = opt.use_ace;
   hopt.ace_refresh = opt.ace_refresh;
-  hopt.fft_dispatch = opt.fft_dispatch;
   hopt.op_pipeline = opt.op_pipeline;
   ham_ = std::make_unique<ham::Hamiltonian>(*setup_, species_, hopt);
   occ_.assign(setup_->n_bands(), 2.0);

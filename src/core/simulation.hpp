@@ -36,10 +36,6 @@ struct SimulationOptions {
   xc::HybridParams hybrid_params{};
   ham::FockOptions fock{};
   scf::ScfOptions scf{};
-  /// FFT dispatch for every grid in the simulation (kAuto resolves
-  /// PWDFT_FFT_DISPATCH, default persistent task graphs); results are
-  /// bit-identical across paths.
-  fft::ExecPath fft_dispatch = fft::ExecPath::kAuto;
   /// Whole-operator pipeline mode for the narrow-band hot paths
   /// (Hamiltonian apply, density, Fock pair solves): kAuto resolves
   /// PWDFT_OPERATOR_PIPELINE, default fused — each narrow operator

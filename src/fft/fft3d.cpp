@@ -44,15 +44,11 @@ std::uint64_t fnv1a(const std::uint32_t* p, std::size_t n) {
   return h;
 }
 
-/// Fixed node sizing: at least the fork-join grain's worth of line data per
-/// node (so a node amortizes its scheduling cost) and at most 32 nodes per
-/// pass per batch member. Width-independent — the graph shape affects only
-/// scheduling, never results.
+/// Fixed node sizing: at least the axis_pass_many grain's worth of line data
+/// per node (so a node amortizes its scheduling cost) and at most 32 nodes
+/// per pass per batch member. Width-independent — the graph shape affects
+/// only scheduling, never results.
 constexpr std::size_t kMaxNodesPerPass = 32;
-
-/// Defensive bound on cached replay shapes per Fft3D; novel shapes beyond it
-/// fall back to the staged dispatch instead of growing without limit.
-constexpr std::size_t kMaxCachedGraphs = 64;
 
 /// Pipelines are short stage sequences (the longest in the tree — the fused
 /// Hamiltonian apply — has 6); the replay state array is stack-sized to it.
@@ -80,21 +76,6 @@ struct Fft3D::CachedGraph {
   exec::TaskGraph graph;
 };
 
-ExecPath Fft3D::path_env_default() {
-  static const ExecPath p = [] {
-    if (const char* e = std::getenv("PWDFT_FFT_DISPATCH")) {
-      const std::string_view v(e);
-      if (v == "forkjoin") return ExecPath::kForkJoin;
-      if (v == "graph") return ExecPath::kTaskGraph;
-      // Fail fast: a typo must not silently select the wrong dispatch path
-      // for an entire experiment.
-      PWDFT_CHECK(false, "PWDFT_FFT_DISPATCH must be 'forkjoin' or 'graph'");
-    }
-    return ExecPath::kTaskGraph;
-  }();
-  return p;
-}
-
 PipelineMode pipeline_env_default() {
   static const PipelineMode m = [] {
     if (const char* e = std::getenv("PWDFT_OPERATOR_PIPELINE")) {
@@ -108,37 +89,22 @@ PipelineMode pipeline_env_default() {
   return m;
 }
 
-Fft3D::Fft3D(std::array<std::size_t, 3> dims, RadixKernel kernel, ExecPath path)
-    : dims_(dims),
-      path_(path == ExecPath::kAuto ? path_env_default() : path),
-      plan_x_(dims[0], kernel),
-      plan_y_(dims[1], kernel),
-      plan_z_(dims[2], kernel) {}
+Fft3D::Fft3D(std::array<std::size_t, 3> dims)
+    : dims_(dims), plan_x_(dims[0]), plan_y_(dims[1]), plan_z_(dims[2]) {}
 
 Fft3D::~Fft3D() = default;
 
-std::shared_ptr<Fft3D> shared_engine(std::array<std::size_t, 3> dims, RadixKernel kernel,
-                                     ExecPath path) {
-  struct Key {
-    std::array<std::size_t, 3> dims;
-    RadixKernel kernel;
-    ExecPath path;
-    bool operator==(const Key&) const = default;
-  };
-  // The kAuto resolutions below mirror the Fft3D/FftPlan1D constructors, so
-  // explicit-and-equivalent requests hit the same cache entry as kAuto ones.
-  const Key key{dims, kernel == RadixKernel::kAuto ? FftPlan1D::env_default() : kernel,
-                path == ExecPath::kAuto ? Fft3D::path_env_default() : path};
+std::shared_ptr<Fft3D> shared_engine(std::array<std::size_t, 3> dims) {
   static std::mutex mu;
   // Intentionally leaked: engines may still be referenced by objects whose
   // destruction order at exit is unknowable.
-  static auto* cache = new std::vector<std::pair<Key, std::shared_ptr<Fft3D>>>();
+  static auto* cache = new std::vector<std::shared_ptr<Fft3D>>();
   std::lock_guard<std::mutex> lock(mu);
-  for (const auto& [k, engine] : *cache) {
-    if (k == key) return engine;
+  for (const auto& engine : *cache) {
+    if (engine->dims() == dims) return engine;
   }
-  auto engine = std::make_shared<Fft3D>(dims, key.kernel, key.path);
-  cache->emplace_back(key, engine);
+  auto engine = std::make_shared<Fft3D>(dims);
+  cache->push_back(engine);
   return engine;
 }
 
@@ -197,8 +163,8 @@ void Fft3D::axis_pass_many(Complex* data, std::size_t count, int axis, int sign,
 
 namespace {
 
-/// Shared shape validation of run_pipeline (both dispatch paths see the
-/// same contract).
+/// Shape validation of run_pipeline (the replay and the cache-full fallback
+/// see the same contract).
 void validate_stages(std::span<const Fft3D::Stage> stages) {
   PWDFT_CHECK(!stages.empty() && stages.size() <= kMaxPipelineStages,
               "run_pipeline: need 1..8 stages");
@@ -357,8 +323,8 @@ Fft3D::CachedGraph* Fft3D::graph_for(std::size_t count,
 
 void Fft3D::run_stages(std::size_t count, std::span<const Stage> stages) const {
   // One batched dispatch per stage; every hook call and per-line kernel is
-  // the same serial code as the corresponding graph node, so this path is
-  // bit-identical to the replay.
+  // the same serial code as the corresponding graph node, so this fallback
+  // is bit-identical to the replay.
   for (const Stage& s : stages) {
     switch (s.kind) {
       case Stage::Kind::kHook:
@@ -394,18 +360,15 @@ void Fft3D::run_stages(std::size_t count, std::span<const Stage> stages) const {
 void Fft3D::run_pipeline(std::size_t count, std::span<const Stage> stages) const {
   if (count == 0) return;
   validate_stages(stages);
-  if (path_ == ExecPath::kTaskGraph) {
-    if (CachedGraph* cg = graph_for(count, stages)) {
-      std::array<StageState, kMaxPipelineStages> st;
-      for (std::size_t si = 0; si < stages.size(); ++si)
-        st[si] = StageState{stages[si].hook, stages[si].user, stages[si].data};
-      ReplayCtx ctx{st.data()};
-      cg->graph.replay(&ctx);
-      return;
-    }
-    // Cache full: fall through to the staged execution (identical results).
+  if (CachedGraph* cg = graph_for(count, stages)) {
+    std::array<StageState, kMaxPipelineStages> st;
+    for (std::size_t si = 0; si < stages.size(); ++si)
+      st[si] = StageState{stages[si].hook, stages[si].user, stages[si].data};
+    ReplayCtx ctx{st.data()};
+    cg->graph.replay(&ctx);
+    return;
   }
-  run_stages(count, stages);
+  run_stages(count, stages);  // cache full: staged execution, identical results
 }
 
 void Fft3D::dispatch(Complex* data, std::size_t count, int sign,

@@ -11,16 +11,15 @@
 /// same plan-reuse/latency-amortization structure and adds thread
 /// parallelism.
 ///
-/// Dispatch: two execution paths cover every batched transform, selected at
-/// construction (ExecPath) and bit-identical to each other:
-///   - kForkJoin — one exec::parallel_for per axis pass (three pool wakes
-///     and three full barriers per transform).
-///   - kTaskGraph (default) — a persistent exec::TaskGraph per replay
-///     shape, built lazily on first use and replayed afterwards: one pool
-///     wake per call, per-batch chains with no global inter-stage barrier
-///     (batch b can run its axis-2 pass while batch b' is still in axis 0).
-///     This removes the dominant dispatch overhead for small grids (< 32³)
-///     — the per-band pair-solve sizes the hybrid Fock loop lives in.
+/// Dispatch: every batched transform replays a persistent exec::TaskGraph
+/// cached per replay shape, built lazily on first use: one pool wake per
+/// call, per-batch chains with no global inter-stage barrier (batch b can
+/// run its axis-2 pass while batch b' is still in axis 0). This removes the
+/// dominant dispatch overhead for small grids (< 32³) — the per-band
+/// pair-solve sizes the hybrid Fock loop lives in. An engine caches at most
+/// kMaxCachedGraphs shapes; a novel shape beyond that runs as one
+/// exec::parallel_for per stage instead (run_stages), bit-identical to the
+/// replay.
 ///
 /// Whole-operator pipelines (run_pipeline): generalizing the per-batch
 /// prologue/epilogue hooks of PR 4, a caller describes its full operator as
@@ -32,10 +31,7 @@
 /// chunk accumulation → ordered reduction join) and the Fock window loop's
 /// batched pair solves (pair multiply → forward → kernel multiply →
 /// inverse → write-out) are built this way, so a whole operator application
-/// costs one pool wake instead of one per stage. On the fork-join path (or
-/// when the graph cache is full) the same stage list executes as one
-/// parallel_for per stage — identical serial code per batch element, so the
-/// two executions are bit-identical.
+/// costs one pool wake instead of one per stage.
 ///
 /// The engine is stateless apart from the internal graph cache (guarded by
 /// a mutex; replay itself is lock-free): per-line scratch comes from the
@@ -45,10 +41,9 @@
 /// methods are const.
 ///
 /// Determinism: every 1-D line is computed by exactly one thread running the
-/// identical serial kernel (Fft3D::run_lines, shared by both dispatch
-/// paths), so results are bit-identical to the serial loop at any thread
-/// count and across dispatch paths. The inner radix kernel (scalar or SIMD,
-/// fft_plan.hpp) is fixed at construction and never depends on the width.
+/// identical serial kernel (Fft3D::run_lines, shared by the replay and the
+/// cache-full fallback), so results are bit-identical to the serial loop at
+/// any thread count.
 ///
 /// Grid layout: linear index i = x + n0*(y + n1*z), x fastest.
 
@@ -65,18 +60,13 @@
 
 namespace pwdft::fft {
 
-/// Batched-transform dispatch path (see file header).
-///   kAuto resolves at construction via PWDFT_FFT_DISPATCH
-///   ("forkjoin" or "graph"), defaulting to kTaskGraph.
-enum class ExecPath { kAuto, kForkJoin, kTaskGraph };
-
 /// Whole-operator pipeline mode of the narrow-band hot paths
 /// (ham::Hamiltonian::apply, ham::compute_density, the Fock pair solves):
 ///   kFused  — the operator runs as one Fft3D::run_pipeline call (a single
-///             cached-graph replay on the task-graph dispatch path);
+///             cached-graph replay);
 ///   kStaged — the legacy formulation: one batched dispatch per stage.
 /// Both are bit-identical at any engine width (tests/test_band_parallel.cpp
-/// sweeps mode × dispatch × width). kAuto resolves pipeline_env_default().
+/// sweeps mode × width). kAuto resolves pipeline_env_default().
 enum class PipelineMode { kAuto, kFused, kStaged };
 
 /// Process-wide default: PWDFT_OPERATOR_PIPELINE=fused|staged (read once),
@@ -85,8 +75,11 @@ PipelineMode pipeline_env_default();
 
 class Fft3D {
  public:
-  explicit Fft3D(std::array<std::size_t, 3> dims, RadixKernel kernel = RadixKernel::kAuto,
-                 ExecPath path = ExecPath::kAuto);
+  /// Graph-cache capacity: the number of distinct replay shapes one engine
+  /// builds before further novel shapes fall back to run_stages.
+  static constexpr std::size_t kMaxCachedGraphs = 64;
+
+  explicit Fft3D(std::array<std::size_t, 3> dims);
   ~Fft3D();
   Fft3D(const Fft3D&) = delete;
   Fft3D& operator=(const Fft3D&) = delete;
@@ -94,17 +87,10 @@ class Fft3D {
   const std::array<std::size_t, 3>& dims() const { return dims_; }
   /// Total number of grid points.
   std::size_t size() const { return dims_[0] * dims_[1] * dims_[2]; }
-  /// The resolved radix kernel shared by the three axis plans.
-  RadixKernel kernel() const { return plan_x_.kernel(); }
-  /// The resolved dispatch path (kForkJoin or kTaskGraph, never kAuto).
-  ExecPath path() const { return path_; }
-  /// Process-wide default: PWDFT_FFT_DISPATCH=forkjoin|graph (read once),
-  /// else kTaskGraph.
-  static ExecPath path_env_default();
 
   /// Per-batch stage hook: runs once per batch member (or once per join
-  /// job). On the task-graph path the hook is a graph node wired into the
-  /// member's stage chain; on the fork-join path it runs as its own
+  /// job). In a replay the hook is a graph node wired into the member's
+  /// stage chain; in the cache-full fallback it runs as its own
   /// batch-parallel stage. Must write only batch `b`'s data and be safe to
   /// run concurrently across batches (except where Stage::chain serializes
   /// it). A plain function pointer so the graph cache can key on hook
@@ -182,10 +168,10 @@ class Fft3D {
   }
 
   /// Executes a whole-operator pipeline over `count` batch members (at most
-  /// 8 stages). Task-graph path: one replay of a graph cached per
-  /// (count, stage-shape sequence) — one pool wake for the whole operator,
-  /// batch members pipelining through the stages independently. Fork-join
-  /// path (or cache full): one batched dispatch per stage. Both execute the
+  /// 8 stages): one replay of a graph cached per (count, stage-shape
+  /// sequence) — one pool wake for the whole operator, batch members
+  /// pipelining through the stages independently. With the cache full, a
+  /// novel shape runs as one batched dispatch per stage; both execute the
   /// identical serial code per (stage, batch) and are bit-identical.
   void run_pipeline(std::size_t count, std::span<const Stage> stages) const;
 
@@ -232,22 +218,20 @@ class Fft3D {
  private:
   struct CachedGraph;
 
-  /// The shared serial kernel of both dispatch paths: transforms lines
-  /// [li0, li1) of `axis` for batch member `batch`.
+  /// The serial kernel of every pass node and of run_stages: transforms
+  /// lines [li0, li1) of `axis` for batch member `batch`.
   void run_lines(Complex* data, int axis, int sign, const std::uint32_t* lines,
                  std::size_t li0, std::size_t li1, std::size_t batch) const;
-  /// Fork-join axis pass over all batch members (one parallel_for).
+  /// One axis pass over all batch members as one parallel_for (run_stages).
   void axis_pass_many(Complex* data, std::size_t count, int axis, int sign,
                       const std::uint32_t* lines, std::size_t nlines) const;
-  /// Runs the three passes (+ optional hooks) through the configured path:
-  /// the historical prologue/passes/epilogue shape, now a 2–3 stage
-  /// pipeline.
+  /// Runs the three passes (+ optional hooks) as a 1–3 stage pipeline.
   void dispatch(Complex* data, std::size_t count, int sign,
                 const std::array<PassSpec, 3>& passes, BatchHook prologue,
                 BatchHook epilogue, void* user) const;
   void transform_many(Complex* data, std::size_t count, int sign) const;
-  /// Executes the stage list as one batched dispatch per stage (fork-join
-  /// path and the cache-full fallback of run_pipeline).
+  /// Executes the stage list as one batched dispatch per stage (the
+  /// cache-full fallback of run_pipeline).
   void run_stages(std::size_t count, std::span<const Stage> stages) const;
   /// Looks up or lazily builds the cached graph for a pipeline shape;
   /// returns nullptr when the cache is full (caller falls back to
@@ -255,7 +239,6 @@ class Fft3D {
   CachedGraph* graph_for(std::size_t count, std::span<const Stage> stages) const;
 
   std::array<std::size_t, 3> dims_;
-  ExecPath path_;
   FftPlan1D plan_x_, plan_y_, plan_z_;
   /// Lazily built replay graphs, keyed by (batch count, per-stage shape:
   /// kind + hook identity + chain/njobs + sign + line-mask content).
@@ -265,15 +248,13 @@ class Fft3D {
   mutable std::vector<std::unique_ptr<CachedGraph>> cache_;
 };
 
-/// Process-wide engine cache: returns the one Fft3D for (dims, resolved
-/// kernel, resolved dispatch path), constructing it on first request. Since
-/// an Fft3D is safe for concurrent use and its graph cache only grows,
-/// sharing one engine per grid shape means co-resident simulations (the
-/// serve::JobEngine tenants, or several Simulations in one process) reuse
-/// each other's warmed-up replay graphs instead of each rebuilding them.
-/// Entries live for the life of the process.
-std::shared_ptr<Fft3D> shared_engine(std::array<std::size_t, 3> dims,
-                                     RadixKernel kernel = RadixKernel::kAuto,
-                                     ExecPath path = ExecPath::kAuto);
+/// Process-wide engine cache: returns the one Fft3D for `dims`, constructing
+/// it on first request. Since an Fft3D is safe for concurrent use and its
+/// graph cache only grows, sharing one engine per grid shape means
+/// co-resident simulations (the serve::JobEngine tenants, or several
+/// Simulations in one process) reuse each other's warmed-up replay graphs
+/// instead of each rebuilding them. Entries live for the life of the
+/// process.
+std::shared_ptr<Fft3D> shared_engine(std::array<std::size_t, 3> dims);
 
 }  // namespace pwdft::fft

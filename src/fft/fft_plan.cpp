@@ -1,12 +1,10 @@
 #include "fft/fft_plan.hpp"
 
 #include <cmath>
-#include <cstdlib>
-#include <string_view>
 
 #include "common/check.hpp"
 
-// Vectorization hint for the SIMD kernels below. The loops are written so
+// Vectorization hint for the combine kernels below. The loops are written so
 // that plain -O2/-O3 auto-vectorization already applies (contiguous double
 // lanes, no aliasing through distinct restrict-qualified pointers); the
 // pragma additionally licenses the reassociation-free lane split when the
@@ -46,26 +44,20 @@ Complex unit_root(double num, double den) {
   return {std::cos(ang), std::sin(ang)};
 }
 
-// ---- SIMD kernels -------------------------------------------------------
+// ---- Combine kernels ----------------------------------------------------
 //
 // Each Complex is viewed as two adjacent doubles (guaranteed layout of
-// std::complex<double>). The combine loops perform the scalar expressions'
-// real/imaginary operations in the same order, just over raw lanes so the
-// vectorizer can pack them; together with the exact butterfly leaves below,
-// the kernel agrees with the scalar one to final-bit rounding (no
-// reassociation — only FMA contraction and the leaves' exact constants
-// differ), bounded by tests/test_fft_oracle.cpp.
+// std::complex<double>), so the vectorizer can pack the real/imaginary
+// operations of the combine loops.
 //
 // The per-level twiddle multiply is fused into each combine: one sweep over
-// the work buffer per level instead of two (twiddle sweep + combine sweep).
-// The q = 0 twiddle row is exactly one and is skipped — multiplying by 1.0
-// is the identity — so the fused kernels compute the same values as the
-// former two-sweep pair.
+// the work buffer per level. The q = 0 twiddle row is exactly one and is
+// skipped — multiplying by 1.0 is the identity.
 
 /// Fused twiddle + radix-2 combine: b' = w[n1+k] * tw[n1+k] (conj_tw:
 /// conjugated), out[k] = a + b', out[n1+k] = a - b'.
-void radix2_combine_tw_simd(const Complex* work_c, Complex* out_c, const Complex* tw_c,
-                            std::size_t n1, bool conj_tw) {
+void radix2_combine_tw(const Complex* work_c, Complex* out_c, const Complex* tw_c,
+                       std::size_t n1, bool conj_tw) {
   const double* __restrict__ w = reinterpret_cast<const double*>(work_c);
   double* __restrict__ o = reinterpret_cast<double*>(out_c);
   const double* __restrict__ tw = reinterpret_cast<const double*>(tw_c);
@@ -88,8 +80,8 @@ void radix2_combine_tw_simd(const Complex* work_c, Complex* out_c, const Complex
 /// Fused twiddle + radix-4 combine with the W_4 = -i (sign=-1) / +i
 /// (sign=+1) butterfly: b, c, d are twiddled on load, the +-i multiply is a
 /// lane swap plus sign flip, done explicitly.
-void radix4_combine_tw_simd(const Complex* work_c, Complex* out_c, const Complex* tw_c,
-                            std::size_t n1, int sign) {
+void radix4_combine_tw(const Complex* work_c, Complex* out_c, const Complex* tw_c,
+                       std::size_t n1, int sign) {
   const double* __restrict__ w = reinterpret_cast<const double*>(work_c);
   double* __restrict__ o = reinterpret_cast<double*>(out_c);
   const double* __restrict__ tw = reinterpret_cast<const double*>(tw_c);
@@ -127,12 +119,9 @@ void radix4_combine_tw_simd(const Complex* work_c, Complex* out_c, const Complex
 
 /// Fused twiddle + generic radix-r combine (r = 3, 5, odd primes): each
 /// w_q (q >= 1) is twiddled in place once, immediately before its
-/// accumulation round, so the former separate twiddle sweep disappears.
-/// Accumulation stays in ascending q per output element — the same order
-/// (and the same twiddled values) as the two-sweep version.
-void generic_combine_tw_simd(Complex* work_c, Complex* out_c, const Complex* cb,
-                             const Complex* tw_c, std::size_t r, std::size_t n1,
-                             bool conj_tw) {
+/// accumulation round. Accumulation runs in ascending q per output element.
+void generic_combine_tw(Complex* work_c, Complex* out_c, const Complex* cb,
+                        const Complex* tw_c, std::size_t r, std::size_t n1, bool conj_tw) {
   double* __restrict__ w = reinterpret_cast<double*>(work_c);
   double* __restrict__ o = reinterpret_cast<double*>(out_c);
   const double* __restrict__ tw = reinterpret_cast<const double*>(tw_c);
@@ -172,11 +161,9 @@ void generic_combine_tw_simd(Complex* work_c, Complex* out_c, const Complex* cb,
   }
 }
 
-/// Exact butterfly leaves for the SIMD kernel: lengths 2 and 4 need no
-/// twiddle table at all (roots are +-1, +-i), saving the naive-DFT table
-/// walk at the bottom of every recursion. More accurate than the table
-/// path (the table stores cos(pi/2) ~ 6e-17, the butterfly uses the exact
-/// zero); the FFT oracle bounds both against the reference DFT.
+/// Exact butterfly leaves: lengths 2 and 4 need no twiddle table at all
+/// (roots are +-1, +-i), and 3 and 5 use exact constants, so the bottom of
+/// every 5-smooth recursion walks no table.
 inline void leaf2_butterfly(const Complex* in, std::size_t stride, Complex* out) {
   const Complex a = in[0], b = in[stride];
   out[0] = a + b;
@@ -246,23 +233,7 @@ bool FftPlan1D::fast_size(std::size_t n) {
   return n == 1;
 }
 
-RadixKernel FftPlan1D::env_default() {
-  static const RadixKernel k = [] {
-    if (const char* e = std::getenv("PWDFT_FFT_KERNEL")) {
-      const std::string_view v(e);
-      if (v == "scalar") return RadixKernel::kScalar;
-      if (v == "simd") return RadixKernel::kSimd;
-      // Fail fast: silently falling back would let a typo (=Scalar, =SIMD)
-      // run the wrong kernel through an entire validation experiment.
-      PWDFT_CHECK(false, "PWDFT_FFT_KERNEL must be 'scalar' or 'simd'");
-    }
-    return RadixKernel::kSimd;
-  }();
-  return k;
-}
-
-FftPlan1D::FftPlan1D(std::size_t n, RadixKernel kernel)
-    : n_(n), kernel_(kernel == RadixKernel::kAuto ? env_default() : kernel) {
+FftPlan1D::FftPlan1D(std::size_t n) : n_(n) {
   PWDFT_CHECK(n >= 1, "FFT length must be positive");
   std::size_t m = n;
   while (true) {
@@ -273,7 +244,8 @@ FftPlan1D::FftPlan1D(std::size_t n, RadixKernel kernel)
       lv.r = m;
       lv.n1 = 1;
       lv.tw_off = tw_.size();
-      for (std::size_t j = 0; j < m; ++j) tw_.push_back(unit_root(double(j), double(m)));
+      if (m > 5)  // lengths <= 5 are exact butterflies and walk no table
+        for (std::size_t j = 0; j < m; ++j) tw_.push_back(unit_root(double(j), double(m)));
       levels_.push_back(lv);
       break;
     }
@@ -305,30 +277,25 @@ void FftPlan1D::exec_level(std::size_t li, const Complex* in, std::size_t stride
   const Complex* tw = tw_.data() + lv.tw_off;
 
   if (lv.leaf) {
-    // Naive DFT: out[k] = sum_m in[m*stride] * w^{(k*m) mod n}.
     const std::size_t n = lv.n;
-    if (n == 1) {
-      out[0] = in[0];
-      return;
-    }
-    if (kernel_ == RadixKernel::kSimd) {
-      if (n == 2) {
+    switch (n) {
+      case 1:
+        out[0] = in[0];
+        return;
+      case 2:
         leaf2_butterfly(in, stride, out);
         return;
-      }
-      if (n == 3) {
+      case 3:
         leaf3_butterfly(in, stride, out, sign);
         return;
-      }
-      if (n == 4) {
+      case 4:
         leaf4_butterfly(in, stride, out, sign);
         return;
-      }
-      if (n == 5) {
+      case 5:
         leaf5_butterfly(in, stride, out, sign);
         return;
-      }
     }
+    // Naive DFT (prime n >= 7): out[k] = sum_m in[m*stride] * w^{(k*m) mod n}.
     for (std::size_t k = 0; k < n; ++k) {
       Complex acc = in[0];
       std::size_t idx = 0;
@@ -345,73 +312,20 @@ void FftPlan1D::exec_level(std::size_t li, const Complex* in, std::size_t stride
 
   const std::size_t r = lv.r;
   const std::size_t n1 = lv.n1;
-  const bool simd = kernel_ == RadixKernel::kSimd;
 
   // Decimation in time: child q transforms the subsequence in[q::r].
   // Child results land in work[q*n1 .. ), using out[q*n1 ..) as scratch.
   for (std::size_t q = 0; q < r; ++q)
     exec_level(li + 1, in + q * stride, stride * r, work + q * n1, out + q * n1, sign);
 
-  // SIMD kernel: the twiddle multiply (w_hat[q*n1+k] = work[q*n1+k] *
-  // W_n^{qk}) is fused into the combine — one sweep over the work buffer
-  // per level (ROADMAP follow-up; values identical to the two-sweep form).
-  if (simd) {
-    if (r == 2) {
-      radix2_combine_tw_simd(work, out, tw, n1, sign > 0);
-    } else if (r == 4) {
-      radix4_combine_tw_simd(work, out, tw, n1, sign);
-    } else {
-      generic_combine_tw_simd(work, out, comb_.data() + lv.cb_off, tw, r, n1, sign > 0);
-    }
-    return;
-  }
-
-  // Scalar reference kernel: twiddle sweep, then combine.
-  if (sign < 0) {
-    for (std::size_t i = 0; i < r * n1; ++i) work[i] *= tw[i];
-  } else {
-    for (std::size_t i = 0; i < r * n1; ++i) work[i] *= std::conj(tw[i]);
-  }
-
-  // Combine: out[j*n1+k] = sum_q w_hat[q*n1+k] * W_r^{jq}.
+  // The twiddle multiply (w_hat[q*n1+k] = work[q*n1+k] * W_n^{qk}) is fused
+  // into the combine out[j*n1+k] = sum_q w_hat[q*n1+k] * W_r^{jq}.
   if (r == 2) {
-    for (std::size_t k = 0; k < n1; ++k) {
-      const Complex a = work[k];
-      const Complex b = work[n1 + k];
-      out[k] = a + b;
-      out[n1 + k] = a - b;
-    }
-    return;
-  }
-  if (r == 4) {
-    // W_4 = -i for sign=-1, +i for sign=+1.
-    const Complex mi = (sign < 0) ? Complex{0.0, -1.0} : Complex{0.0, 1.0};
-    for (std::size_t k = 0; k < n1; ++k) {
-      const Complex a = work[k];
-      const Complex b = work[n1 + k];
-      const Complex c = work[2 * n1 + k];
-      const Complex d = work[3 * n1 + k];
-      const Complex ac_p = a + c, ac_m = a - c;
-      const Complex bd_p = b + d, bd_m = mi * (b - d);
-      out[k] = ac_p + bd_p;
-      out[n1 + k] = ac_m + bd_m;
-      out[2 * n1 + k] = ac_p - bd_p;
-      out[3 * n1 + k] = ac_m - bd_m;
-    }
-    return;
-  }
-  const Complex* cb = comb_.data() + lv.cb_off;
-  for (std::size_t k = 0; k < n1; ++k) {
-    for (std::size_t j = 0; j < r; ++j) {
-      Complex acc{0.0, 0.0};
-      const Complex* row = cb + j * r;
-      if (sign < 0) {
-        for (std::size_t q = 0; q < r; ++q) acc += work[q * n1 + k] * row[q];
-      } else {
-        for (std::size_t q = 0; q < r; ++q) acc += work[q * n1 + k] * std::conj(row[q]);
-      }
-      out[j * n1 + k] = acc;
-    }
+    radix2_combine_tw(work, out, tw, n1, sign > 0);
+  } else if (r == 4) {
+    radix4_combine_tw(work, out, tw, n1, sign);
+  } else {
+    generic_combine_tw(work, out, comb_.data() + lv.cb_off, tw, r, n1, sign > 0);
   }
 }
 

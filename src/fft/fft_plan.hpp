@@ -21,42 +21,22 @@
 
 namespace pwdft::fft {
 
-/// Inner-kernel flavor for the hot per-level loops (the radix-2/4 combines
-/// and the twiddle multiply, which together dominate a 5-smooth transform).
-///
-///   kScalar — the straightforward std::complex loops (reference kernel).
-///   kSimd   — the same math restructured over raw double lanes so the
-///             compiler vectorizes it (no intrinsics; portable), with
-///             exact butterfly leaves for lengths 2/3/4/5 in place of the
-///             naive table walk. Agrees with kScalar to final-bit rounding
-///             (the leaves use exact constants where the table stores
-///             cos(pi/2) ~ 6e-17); both kernels are bounded against an
-///             independent reference DFT by tests/test_fft_oracle.cpp.
-///   kAuto   — resolves at plan time via env_default(): the value of
-///             PWDFT_FFT_KERNEL ("scalar" or "simd"), else kSimd.
-///
-/// The choice is fixed at plan construction and never depends on the
-/// engine width, so either kernel keeps the bit-identical-at-any-thread-
-/// count contract of docs/threading.md.
-enum class RadixKernel { kAuto, kScalar, kSimd };
-
 /// A reusable plan for complex DFTs of a fixed length.
 ///
 /// Supports any length: lengths factoring into {2,3,4,5} use fast
-/// Cooley-Tukey passes; residual prime factors fall back to a naive
-/// O(p^2) leaf (used only in tests; production grids are 5-smooth).
+/// Cooley-Tukey passes, residual prime factors fall back to a naive O(p^2)
+/// leaf (used only in tests; production grids are 5-smooth). The per-level
+/// twiddle multiply is fused into the radix combine, written over raw
+/// double lanes so the compiler vectorizes it (no intrinsics; portable),
+/// and lengths 2/3/4/5 end the recursion in exact butterfly leaves.
+/// tests/test_fft_oracle.cpp bounds every length against an independent
+/// naive DFT. Execution is one fixed serial kernel per plan, so results
+/// never depend on the engine width (docs/threading.md).
 class FftPlan1D {
  public:
-  explicit FftPlan1D(std::size_t n, RadixKernel kernel = RadixKernel::kAuto);
+  explicit FftPlan1D(std::size_t n);
 
   std::size_t size() const { return n_; }
-
-  /// The kernel this plan resolved to (kScalar or kSimd, never kAuto).
-  RadixKernel kernel() const { return kernel_; }
-
-  /// Process-wide default: PWDFT_FFT_KERNEL=scalar|simd (read once), else
-  /// kSimd.
-  static RadixKernel env_default();
 
   /// Required workspace (in Complex elements) for execute().
   std::size_t workspace_size() const { return n_; }
@@ -75,8 +55,8 @@ class FftPlan1D {
     std::size_t n = 0;       ///< transform length at this level
     std::size_t r = 0;       ///< radix split off (n = r * n1)
     std::size_t n1 = 0;      ///< child transform length
-    bool leaf = false;       ///< naive DFT of length n
-    std::size_t tw_off = 0;  ///< offset into tw_ (size r*n1, or n for leaves)
+    bool leaf = false;       ///< butterfly (n <= 5) or naive DFT (prime n >= 7)
+    std::size_t tw_off = 0;  ///< offset into tw_ (size r*n1, or n for naive leaves)
     std::size_t cb_off = 0;  ///< offset into comb_ (size r*r; unused for leaves)
   };
 
@@ -84,7 +64,6 @@ class FftPlan1D {
                   Complex* work, int sign) const;
 
   std::size_t n_;
-  RadixKernel kernel_;
   std::vector<Level> levels_;
   std::vector<Complex> tw_;    ///< twiddles for sign=-1 (conjugated on use for +1)
   std::vector<Complex> comb_;  ///< per-level radix-r DFT matrices, sign=-1

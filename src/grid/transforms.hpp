@@ -20,13 +20,11 @@
 /// batched FFT as one call, with results bit-identical to the two-step
 /// scatter + full-FFT path at every thread count.
 ///
-/// Dispatch: on Fft3D's task-graph path (the default) each fused call is a
-/// single replay of a cached graph — the per-batch scatter (gather) runs as
-/// a prologue (epilogue) node of that batch member's FFT pass chain, so the
-/// whole conversion costs one pool wake and batch members pipeline through
-/// scatter and passes independently. On the fork-join path the hooks run as
-/// their own batch-parallel stage; both paths execute the identical serial
-/// code per batch and are bit-identical.
+/// Dispatch: each fused call is a single replay of a cached Fft3D graph —
+/// the per-batch scatter (gather) runs as a prologue (epilogue) node of
+/// that batch member's FFT pass chain, so the whole conversion costs one
+/// pool wake and batch members pipeline through scatter and passes
+/// independently.
 
 #include <array>
 #include <cstddef>

@@ -97,7 +97,7 @@ std::vector<double> compute_density(const PlanewaveSetup& setup, fft::Fft3D& fft
   // In the fused pipeline mode the whole narrow formulation — scatter,
   // masked inverse passes, chunk accumulation (chained in band order), and
   // the ordered chunk reduction — is ONE Fft3D::run_pipeline call: a single
-  // cached-graph replay (one pool wake) on the graph dispatch path. Every
+  // cached-graph replay (one pool wake). Every
   // hook runs the same per-element statements in the same order as the
   // staged chunk loop, so all formulations stay bit-identical.
   if (pipeline == fft::PipelineMode::kAuto) pipeline = fft::pipeline_env_default();

@@ -25,7 +25,7 @@ namespace pwdft::ham {
 /// selects how that narrow formulation executes: kFused runs scatter →
 /// inverse passes → |ψ|² chunk accumulation (chained in band order) →
 /// ordered chunk reduction as ONE Fft3D::run_pipeline call — a single
-/// cached-graph replay / one pool wake on the graph dispatch path — while
+/// cached-graph replay / one pool wake — while
 /// kStaged keeps the per-stage batched dispatches. All paths are
 /// bit-identical at any width (docs/threading.md); tests force every
 /// combination to pin the equivalence.

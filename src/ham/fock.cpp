@@ -59,7 +59,7 @@ FockOperator::FockOperator(const PlanewaveSetup& setup, xc::HybridParams hybrid,
     : setup_(setup),
       hybrid_(hybrid),
       opt_(opt),
-      fft_wfc_(fft::shared_engine(setup.wfc_grid.dims(), fft::RadixKernel::kAuto, opt.fft_dispatch)) {
+      fft_wfc_(fft::shared_engine(setup.wfc_grid.dims())) {
   if (opt_.op_pipeline == fft::PipelineMode::kAuto)
     opt_.op_pipeline = fft::pipeline_env_default();
   // Precompute K(G)/N on the wavefunction grid (the paper evaluates the
@@ -309,10 +309,9 @@ void FockOperator::apply_block(const CMatrix& psi_local, CMatrix& y_local, par::
     };
     // Hybrid band×line schedule: a window narrower than the engine runs
     // its tasks serially here so each task's batched pair FFTs win the
-    // pool — on the default dispatch path each batched transform replays
-    // the persistent task graph cached for its block shape (one pool wake
-    // per transform) instead of forking per axis pass. Identical per-task
-    // operations either way, so the choice never changes results
+    // pool — each batched transform replays the persistent task graph
+    // cached for its block shape (one pool wake per transform). Identical
+    // per-task operations either way, so the choice never changes results
     // (docs/threading.md).
     WallTimer pair_timer;
     if (opt_.band_line_split && exec::prefer_line_split(wn * nblocks)) {

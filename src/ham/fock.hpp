@@ -65,12 +65,6 @@ struct FockOptions {
   /// parallelism) instead of executing inline inside an underfilled band
   /// loop. Bit-identical either way (docs/threading.md).
   bool band_line_split = true;
-  /// Dispatch path of the operator's internal wfc-grid FFTs. With the
-  /// default (kAuto -> task graphs) every pair-solve block replays a cached
-  /// persistent graph keyed by its block shape — one pool wake per batched
-  /// transform instead of one fork-join per axis pass. Bit-identical to
-  /// kForkJoin at any width (tests/test_exec.cpp pins both modes).
-  fft::ExecPath fft_dispatch = fft::ExecPath::kAuto;
   /// Whole-operator pipeline mode of the batched pair solves: kFused chains
   /// pair-density multiply → forward passes → kernel multiply → inverse
   /// passes → write-out into ONE Fft3D::run_pipeline call per (band, block)
@@ -153,7 +147,7 @@ class FockOperator {
   const PlanewaveSetup& setup_;
   xc::HybridParams hybrid_;
   FockOptions opt_;
-  /// Shared process-wide per (dims, kernel, dispatch) via fft::shared_engine.
+  /// Shared process-wide per grid shape via fft::shared_engine.
   std::shared_ptr<fft::Fft3D> fft_wfc_;
   std::vector<double> kernel_;  ///< K(G)/Nwfc on the wavefunction grid
   par::BlockPartition bands_;

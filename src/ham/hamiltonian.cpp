@@ -9,12 +9,11 @@ namespace pwdft::ham {
 
 namespace {
 
-/// An unset Fock FFT dispatch / pipeline mode inherits the
-/// Hamiltonian-level choice, so one option pins both the dense-grid and the
-/// wfc-grid transforms. The pipeline mode itself resolves its env default
-/// here so apply() branches on a fixed value.
+/// An unset Fock pipeline mode inherits the Hamiltonian-level choice, so one
+/// option pins both the dense-grid and the wfc-grid operators. The pipeline
+/// mode itself resolves its env default here so apply() branches on a fixed
+/// value.
 HamiltonianOptions normalize(HamiltonianOptions o) {
-  if (o.fock.fft_dispatch == fft::ExecPath::kAuto) o.fock.fft_dispatch = o.fft_dispatch;
   if (o.op_pipeline == fft::PipelineMode::kAuto) o.op_pipeline = fft::pipeline_env_default();
   if (o.fock.op_pipeline == fft::PipelineMode::kAuto) o.fock.op_pipeline = o.op_pipeline;
   if (o.ace_refresh <= 0) o.ace_refresh = ace_refresh_env_default();
@@ -70,8 +69,7 @@ Hamiltonian::Hamiltonian(const PlanewaveSetup& setup, const pseudo::PseudoSpecie
                          HamiltonianOptions options)
     : setup_(setup),
       options_(normalize(options)),
-      fft_dense_(fft::shared_engine(setup.dense_grid.dims(), fft::RadixKernel::kAuto,
-                                     options_.fft_dispatch)),
+      fft_dense_(fft::shared_engine(setup.dense_grid.dims())),
       fock_(setup, options_.hybrid, options_.fock),
       ace_(setup) {
   v_loc_ps_ = pseudo::build_local_potential(setup_.crystal, species, setup_.dense_grid);
@@ -145,8 +143,8 @@ void Hamiltonian::apply(const CMatrix& psi_local, CMatrix& y_local, par::Comm& c
       // band-parallel loop below would leave threads idle through every
       // FFT. Run the identical math as three batched stages instead — the
       // fused transforms parallelize over the joint (band × FFT line)
-      // domain (each one a single replay of a cached task graph on the
-      // default dispatch path), the point-wise stages over all elements.
+      // domain (each one a single replay of a cached task graph), the
+      // point-wise stages over all elements.
       // Every per-line kernel and per-element operation matches the band
       // path exactly, so results are bit-identical whichever path the
       // width selects (docs/threading.md).
@@ -157,8 +155,8 @@ void Hamiltonian::apply(const CMatrix& psi_local, CMatrix& y_local, par::Comm& c
       if (options_.op_pipeline == fft::PipelineMode::kFused) {
         // Whole-operator pipeline: the six stages below are ONE
         // Fft3D::run_pipeline call — a single cached-graph replay (one pool
-        // wake) on the graph dispatch path, with band b free to run its
-        // V·ψ stage while band b' is still scattering. Every hook executes
+        // wake), with band b free to run its V·ψ stage while band b' is
+        // still scattering. Every hook executes
         // the same per-element statements as the staged branch, so the two
         // are bit-identical at any width (tests/test_band_parallel.cpp).
         grid::ScatterHook scatter{setup_.smap_dense.map.data(), ng,         psi_local.data(),

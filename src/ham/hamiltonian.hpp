@@ -45,20 +45,13 @@ struct HamiltonianOptions {
   /// path at any width (docs/threading.md); costs ~3 * ncol * n_dense
   /// complex doubles of arena in the narrow-band case.
   bool band_line_split = true;
-  /// Dispatch path of the dense-grid FFTs (and, unless fock.fft_dispatch
-  /// overrides it, of the Fock operator's wfc-grid FFTs): kAuto resolves
-  /// PWDFT_FFT_DISPATCH, defaulting to persistent task graphs. The fused
-  /// sphere<->grid stages of apply() then each run as a single cached-graph
-  /// replay instead of re-forking per FFT pass. Bit-identical to kForkJoin
-  /// at any engine width.
-  fft::ExecPath fft_dispatch = fft::ExecPath::kAuto;
   /// Whole-operator pipeline mode of the narrow (band×line split) apply():
   /// kFused runs scatter → inverse passes → V·ψ+nonlocal → forward passes →
   /// gather → kinetic+add as ONE Fft3D::run_pipeline call (a single
-  /// cached-graph replay / one pool wake on the graph dispatch path);
-  /// kStaged keeps the per-stage batched dispatches. Bit-identical at any
-  /// width. kAuto resolves PWDFT_OPERATOR_PIPELINE (default fused); unless
-  /// fock.op_pipeline overrides, the Fock operator inherits this choice.
+  /// cached-graph replay / one pool wake); kStaged keeps the per-stage
+  /// batched dispatches. Bit-identical at any width. kAuto resolves
+  /// PWDFT_OPERATOR_PIPELINE (default fused); unless fock.op_pipeline
+  /// overrides, the Fock operator inherits this choice.
   fft::PipelineMode op_pipeline = fft::PipelineMode::kAuto;
 };
 
@@ -122,7 +115,7 @@ class Hamiltonian {
  private:
   const PlanewaveSetup& setup_;
   HamiltonianOptions options_;
-  /// Shared process-wide per (dims, kernel, dispatch) via fft::shared_engine:
+  /// Shared process-wide per grid shape via fft::shared_engine:
   /// co-resident Hamiltonians on the same dense grid reuse one warmed graph
   /// cache (the serve::JobEngine runs several tenants per process).
   std::shared_ptr<fft::Fft3D> fft_dense_;

@@ -141,18 +141,15 @@ class Reader {
   Fnv1a hash_;
 };
 
-/// Validates magic + family and returns the format version (1 or 2).
-int read_magic(Reader& r, const char family[2]) {
+/// Validates magic, family and format version (only v2 is read).
+void read_magic(Reader& r, const char family[2]) {
   char got[8];
   r.bytes(got, 8, "magic");
   PWDFT_CHECK(std::memcmp(got, "PWDFT", 5) == 0 && got[5] == family[0] && got[6] == family[1],
               "checkpoint: bad magic in " << r.path() << " (not a PWDFT" << family[0]
                                           << family[1] << " snapshot)");
-  const char ver = got[7];
-  PWDFT_CHECK(ver == '1' || ver == '2', "checkpoint: unsupported format version '"
-                                            << ver << "' in " << r.path()
-                                            << " (this build reads v1 and v2)");
-  return ver - '0';
+  PWDFT_CHECK(got[7] == '2', "checkpoint: unsupported format version '"
+                                 << got[7] << "' in " << r.path() << " (this build reads v2)");
 }
 
 void write_meta_v2(Writer& w, const char family[2], const CheckpointMeta& m) {
@@ -174,15 +171,6 @@ CheckpointMeta read_meta_v2(Reader& r) {
   m.ecut = r.f64("header");
   m.time_au = r.f64("header");
   m.step = r.u64("header");
-  return m;
-}
-
-// Legacy v1 header: the struct was dumped raw (48 bytes, no padding on the
-// platforms that wrote it, no checksum). Kept read-only for old snapshots.
-CheckpointMeta read_meta_v1(Reader& r) {
-  static_assert(sizeof(CheckpointMeta) == 48, "v1 compatibility relies on this layout");
-  CheckpointMeta m;
-  r.bytes(&m, sizeof(m), "header");
   return m;
 }
 
@@ -236,14 +224,14 @@ void save_wavefunctions(const std::string& path, const CheckpointMeta& meta,
 CheckpointMeta load_wavefunctions(const std::string& path, CMatrix& psi,
                                   const CheckpointMeta* expected) {
   Reader r(path);
-  const int ver = read_magic(r, kFamilyPsi);
-  const CheckpointMeta m = ver == 2 ? read_meta_v2(r) : read_meta_v1(r);
+  read_magic(r, kFamilyPsi);
+  const CheckpointMeta m = read_meta_v2(r);
   check_compatible(m, expected);
   const std::uint64_t payload = m.n_g * m.n_bands * sizeof(Complex);
-  if (ver == 2) check_exact_size_v2(r, 0, payload);
+  check_exact_size_v2(r, 0, payload);
   psi.resize(m.n_g, m.n_bands);
   r.bytes(psi.data(), payload, "payload");
-  if (ver == 2) r.finish();
+  r.finish();
   return m;
 }
 
@@ -259,16 +247,16 @@ void save_density(const std::string& path, const CheckpointMeta& meta,
 CheckpointMeta load_density(const std::string& path, std::vector<double>& rho,
                             const CheckpointMeta* expected) {
   Reader r(path);
-  const int ver = read_magic(r, kFamilyRho);
-  const CheckpointMeta m = ver == 2 ? read_meta_v2(r) : read_meta_v1(r);
+  read_magic(r, kFamilyRho);
+  const CheckpointMeta m = read_meta_v2(r);
   if (expected) {
     PWDFT_CHECK(m.n_dense == expected->n_dense, "checkpoint: dense-grid size mismatch");
   }
   const std::uint64_t payload = m.n_dense * sizeof(double);
-  if (ver == 2) check_exact_size_v2(r, 0, payload);
+  check_exact_size_v2(r, 0, payload);
   rho.resize(m.n_dense);
   r.bytes(rho.data(), payload, "payload");
-  if (ver == 2) r.finish();
+  r.finish();
   return m;
 }
 
@@ -283,8 +271,7 @@ void save_blob(const std::string& path, const CheckpointMeta& meta,
 
 CheckpointMeta load_blob(const std::string& path, std::vector<double>& data) {
   Reader r(path);
-  const int ver = read_magic(r, kFamilyBlob);
-  PWDFT_CHECK(ver == 2, "checkpoint: blob snapshots have no v1 format (" << path << ")");
+  read_magic(r, kFamilyBlob);
   const CheckpointMeta m = read_meta_v2(r);
   const std::uint64_t count = r.u64("blob count");
   check_exact_size_v2(r, 8, count * sizeof(double));

@@ -17,9 +17,7 @@
 ///     FNV-1a-64 checksum over header + payload, validated on load.
 ///   - Loads reject short files, checksum mismatches, and trailing bytes
 ///     after the checksum (garbage appended to a snapshot used to load
-///     silently); v1 files (raw-struct header, no checksum) are still read
-///     for backward compatibility, and any other version fails with a clear
-///     message.
+///     silently); any version other than v2 fails with a clear message.
 
 #include <cstdint>
 #include <string>

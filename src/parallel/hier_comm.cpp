@@ -1,7 +1,6 @@
 #include "parallel/hier_comm.hpp"
 
 #include "common/check.hpp"
-#include "common/env.hpp"
 #include "common/exec.hpp"
 #include "common/timer.hpp"
 
@@ -20,16 +19,6 @@ HierComm::HierComm(Comm& world, int band_groups) : world_(&world), nbg_(band_gro
   band_ = world.split(/*color=*/r % npg_, /*key=*/r / npg_);
   PWDFT_CHECK(grid_->size() == npg_ && band_->size() == nbg_,
               "HierComm: split produced an inconsistent layout");
-}
-
-int HierComm::band_groups_from_env(int world_size) {
-  // Strict parse (common/env.hpp): a malformed count, or one that does not
-  // divide the rank count, used to fall back silently to the flat layout —
-  // an experiment asking for a 2D layout must not run 1D without saying so.
-  const long v = env::integer("PWDFT_BAND_GROUPS", 1, 1, world_size);
-  PWDFT_CHECK(world_size % v == 0, "PWDFT_BAND_GROUPS=" << v << " does not divide the rank count "
-                                                        << world_size);
-  return static_cast<int>(v);
 }
 
 namespace {

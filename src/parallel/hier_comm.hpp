@@ -42,10 +42,6 @@ class HierComm final : public Comm {
   /// identical on every rank. `world` must outlive the HierComm.
   HierComm(Comm& world, int band_groups);
 
-  /// Resolves PWDFT_BAND_GROUPS (clamped to a divisor of world_size, so an
-  /// oversized or non-dividing request falls back to 1 group = flat layout).
-  static int band_groups_from_env(int world_size);
-
   Comm& world() { return *world_; }
   Comm& grid() { return *grid_; }
   Comm& band() { return *band_; }

@@ -297,11 +297,11 @@ TEST(BandParallel, FockNarrowWindowLineSplitBitIdentical) {
   }
 }
 
-TEST(BandParallel, DensityPipelineModesBitIdenticalAcrossDispatchAndWidth) {
+TEST(BandParallel, DensityPipelineModesBitIdenticalAcrossWidth) {
   // The whole-operator density pipeline (one cached-graph replay) against
-  // the staged formulation, on both FFT dispatch paths, at widths 1/2/4 —
-  // every combination must produce the same bytes. nb = 3 keeps the block
-  // narrow at width 4 so the pipeline actually engages.
+  // the staged formulation at widths 1/2/4 — every combination must produce
+  // the same bytes. nb = 3 keeps the block narrow at width 4 so the
+  // pipeline actually engages.
   ThreadGuard guard;
   auto setup = test::make_si8_setup(3.0, 1);
   const std::size_t nb = 3;
@@ -310,28 +310,26 @@ TEST(BandParallel, DensityPipelineModesBitIdenticalAcrossDispatchAndWidth) {
   par::SerialComm comm;
 
   std::vector<double> ref;
-  for (const auto path : {fft::ExecPath::kTaskGraph, fft::ExecPath::kForkJoin}) {
-    fft::Fft3D fft_dense(setup.dense_grid.dims(), fft::RadixKernel::kAuto, path);
-    for (const auto mode : {fft::PipelineMode::kStaged, fft::PipelineMode::kFused}) {
-      for (std::size_t nt : kThreadCounts) {
-        exec::set_num_threads(nt);
-        auto rho = ham::compute_density(setup, fft_dense, psi, occ, comm, true, mode);
-        if (ref.empty()) {
-          ref = rho;
-        } else {
-          ASSERT_EQ(rho.size(), ref.size());
-          for (std::size_t i = 0; i < rho.size(); ++i)
-            ASSERT_EQ(rho[i], ref[i]) << "i=" << i << " nt=" << nt;
-        }
+  fft::Fft3D fft_dense(setup.dense_grid.dims());
+  for (const auto mode : {fft::PipelineMode::kStaged, fft::PipelineMode::kFused}) {
+    for (std::size_t nt : kThreadCounts) {
+      exec::set_num_threads(nt);
+      auto rho = ham::compute_density(setup, fft_dense, psi, occ, comm, true, mode);
+      if (ref.empty()) {
+        ref = rho;
+      } else {
+        ASSERT_EQ(rho.size(), ref.size());
+        for (std::size_t i = 0; i < rho.size(); ++i)
+          ASSERT_EQ(rho[i], ref[i]) << "i=" << i << " nt=" << nt;
       }
     }
   }
 }
 
-TEST(BandParallel, HamiltonianPipelineModesBitIdenticalAcrossDispatchAndWidth) {
+TEST(BandParallel, HamiltonianPipelineModesBitIdenticalAcrossWidth) {
   // Fused vs staged whole-operator pipelines through the full hybrid
-  // Hamiltonian (the Fock pair solves run their own fused pipelines), on
-  // both dispatch paths at widths 1/2/4: byte equality everywhere.
+  // Hamiltonian (the Fock pair solves run their own fused pipelines) at
+  // widths 1/2/4: byte equality everywhere.
   ThreadGuard guard;
   auto setup = test::make_si8_setup(3.0, 1);
   auto species = pseudo::PseudoSpecies::silicon(true);
@@ -342,26 +340,22 @@ TEST(BandParallel, HamiltonianPipelineModesBitIdenticalAcrossDispatchAndWidth) {
   par::BlockPartition bands(nb, 1);
 
   CMatrix ref;
-  for (const auto path : {fft::ExecPath::kTaskGraph, fft::ExecPath::kForkJoin}) {
-    for (const auto mode : {fft::PipelineMode::kStaged, fft::PipelineMode::kFused}) {
-      for (std::size_t nt : kThreadCounts) {
-        exec::set_num_threads(nt);
-        auto options = test::fast_hybrid_options();
-        options.fft_dispatch = path;
-        options.op_pipeline = mode;  // fock inherits via normalize()
-        ham::Hamiltonian h(setup, species, options);
-        auto rho = ham::compute_density(setup, h.fft_dense(), psi, occ, comm, true, mode);
-        h.update_density(rho);
-        h.set_exchange_orbitals(psi, occ, bands, comm);
-        CMatrix y;
-        h.apply(psi, y, comm);
-        if (ref.empty()) {
-          ref = y;
-        } else {
-          EXPECT_EQ(test::max_abs_diff(y, ref), 0.0)
-              << "nt=" << nt << " fused=" << (mode == fft::PipelineMode::kFused)
-              << " graph=" << (path == fft::ExecPath::kTaskGraph);
-        }
+  for (const auto mode : {fft::PipelineMode::kStaged, fft::PipelineMode::kFused}) {
+    for (std::size_t nt : kThreadCounts) {
+      exec::set_num_threads(nt);
+      auto options = test::fast_hybrid_options();
+      options.op_pipeline = mode;  // fock inherits via normalize()
+      ham::Hamiltonian h(setup, species, options);
+      auto rho = ham::compute_density(setup, h.fft_dense(), psi, occ, comm, true, mode);
+      h.update_density(rho);
+      h.set_exchange_orbitals(psi, occ, bands, comm);
+      CMatrix y;
+      h.apply(psi, y, comm);
+      if (ref.empty()) {
+        ref = y;
+      } else {
+        EXPECT_EQ(test::max_abs_diff(y, ref), 0.0)
+            << "nt=" << nt << " fused=" << (mode == fft::PipelineMode::kFused);
       }
     }
   }

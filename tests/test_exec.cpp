@@ -11,10 +11,7 @@
 #include "fft/fft3d.hpp"
 #include "grid/transforms.hpp"
 #include "ham/density.hpp"
-#include "ham/fock.hpp"
 #include "ham/hamiltonian.hpp"
-#include "linalg/blas.hpp"
-#include "linalg/cholesky.hpp"
 
 namespace pwdft {
 namespace {
@@ -400,17 +397,17 @@ TEST(TaskGraph, BuildValidation) {
   EXPECT_ANY_THROW(g.add_node([](void*) {}));  // sealed
 }
 
-// ---- Graph-backed FFT / Fock width sweep --------------------------------
+// ---- Graph-backed FFT width sweep ---------------------------------------
 
-TEST(TaskGraphFft, GraphAndForkJoinBitIdenticalAcrossWidths) {
-  // The dispatch-path contract: the cached-graph replay and the per-pass
-  // fork-join path run the identical serial line kernel, so batched
-  // transforms are byte-for-byte equal across paths and engine widths.
+TEST(TaskGraphFft, ReplayBitIdenticalAcrossWidths) {
+  // Batched transforms replay a graph cached on first use; every line runs
+  // the identical serial kernel, so the bytes are equal at every engine
+  // width, and equal to a freshly built engine's (whose empty cache builds
+  // the graph on this very call).
   ThreadGuard guard;
   ParallelReplayGuard preplay;
   const std::size_t n = 12, nb = 5;
-  fft::Fft3D graph_fft({n, n, n}, fft::RadixKernel::kAuto, fft::ExecPath::kTaskGraph);
-  fft::Fft3D fork_fft({n, n, n}, fft::RadixKernel::kAuto, fft::ExecPath::kForkJoin);
+  fft::Fft3D cached_fft({n, n, n});
   Rng rng(41);
   std::vector<Complex> init(n * n * n * nb);
   for (auto& x : init) x = rng.complex_normal();
@@ -418,7 +415,8 @@ TEST(TaskGraphFft, GraphAndForkJoinBitIdenticalAcrossWidths) {
   std::vector<Complex> ref;
   for (std::size_t nt : {1u, 2u, 4u}) {
     exec::set_num_threads(nt);
-    for (const fft::Fft3D* fft : {&graph_fft, &fork_fft}) {
+    fft::Fft3D fresh_fft({n, n, n});
+    for (const fft::Fft3D* fft : {&cached_fft, &fresh_fft}) {
       std::vector<Complex> data = init;
       fft->forward_many(data.data(), nb);
       fft->inverse_many(data.data(), nb);
@@ -426,47 +424,7 @@ TEST(TaskGraphFft, GraphAndForkJoinBitIdenticalAcrossWidths) {
         ref = data;
       } else {
         ASSERT_EQ(0, std::memcmp(ref.data(), data.data(), data.size() * sizeof(Complex)))
-            << "path " << (fft->path() == fft::ExecPath::kTaskGraph ? "graph" : "forkjoin")
-            << " nt " << nt;
-      }
-    }
-  }
-}
-
-TEST(TaskGraphFock, DispatchPathsBitIdenticalAcrossWidths) {
-  // End-to-end through the Fock window loop: its batched pair solves replay
-  // cached graphs keyed by block shape; the result must be byte-identical
-  // to the fork-join dispatch at widths 1/2/4.
-  ThreadGuard guard;
-  ParallelReplayGuard preplay;
-  ham::PlanewaveSetup setup(crystal::Crystal::silicon_supercell(1, 1, 1), 4.0, 1);
-  const std::size_t nb = 8;
-  Rng rng(43);
-  CMatrix phi(setup.n_g(), nb);
-  for (std::size_t i = 0; i < phi.size(); ++i) phi.data()[i] = rng.complex_normal();
-  CMatrix s = linalg::overlap(phi, phi);
-  linalg::potrf_lower(s);
-  linalg::trsm_right_lower_conj(phi, s);
-  std::vector<double> occ(nb, 2.0);
-  par::SerialComm comm;
-  par::BlockPartition bands(nb, 1);
-
-  CMatrix ref;
-  for (std::size_t nt : {1u, 2u, 4u}) {
-    exec::set_num_threads(nt);
-    for (const auto path : {fft::ExecPath::kTaskGraph, fft::ExecPath::kForkJoin}) {
-      ham::FockOptions fopt;
-      fopt.fft_dispatch = path;
-      ham::FockOperator fock(setup, xc::HybridParams{true, 0.25, 0.11}, fopt);
-      fock.set_orbitals(phi, occ, bands, comm);
-      CMatrix y(setup.n_g(), nb, Complex{0.0, 0.0});
-      fock.apply_add(phi, y, comm);
-      if (ref.empty()) {
-        ref = y;
-      } else {
-        ASSERT_EQ(0, std::memcmp(ref.data(), y.data(), y.size() * sizeof(Complex)))
-            << "path " << (path == fft::ExecPath::kTaskGraph ? "graph" : "forkjoin")
-            << " nt " << nt;
+            << (fft == &cached_fft ? "cached" : "fresh") << " nt " << nt;
       }
     }
   }
@@ -489,8 +447,7 @@ struct PipeTestCtx {
 TEST(OperatorPipeline, ChainAndJoinSemantics) {
   // Stage::chain serializes consecutive runs in batch order (batch b reads
   // b-1's value — any order violation corrupts it) and a trailing join runs
-  // only after every batch finished. Pure hook/join pipeline, both dispatch
-  // paths, widths 1/4.
+  // only after every batch finished. Pure hook/join pipeline, widths 1/4.
   ThreadGuard guard;
   ParallelReplayGuard preplay;
   const auto chain_hook = +[](void* u, std::size_t b) {
@@ -507,21 +464,19 @@ TEST(OperatorPipeline, ChainAndJoinSemantics) {
   };
   for (std::size_t nt : {1u, 4u}) {
     exec::set_num_threads(nt);
-    for (const auto path : {fft::ExecPath::kTaskGraph, fft::ExecPath::kForkJoin}) {
-      fft::Fft3D fft({4, 4, 4}, fft::RadixKernel::kAuto, path);
-      PipeTestCtx ctx;
-      const std::array<fft::Fft3D::Stage, 2> stages = {
-          fft::Fft3D::Stage::make_hook(chain_hook, &ctx, 2),
-          fft::Fft3D::Stage::make_join(join_hook, &ctx, 3)};
-      for (int rep = 0; rep < 20; ++rep) {
-        ctx = PipeTestCtx{};
-        fft.run_pipeline(8, stages);
-        const std::array<double, 8> want = {1, 3, 3, 9, 5, 15, 7, 21};
-        for (std::size_t b = 0; b < 8; ++b) ASSERT_EQ(ctx.v[b], want[b]) << "b=" << b;
-        ASSERT_EQ(ctx.out[0], 7.0);
-        ASSERT_EQ(ctx.out[1], 29.0);
-        ASSERT_EQ(ctx.out[2], 28.0);
-      }
+    fft::Fft3D fft({4, 4, 4});
+    PipeTestCtx ctx;
+    const std::array<fft::Fft3D::Stage, 2> stages = {
+        fft::Fft3D::Stage::make_hook(chain_hook, &ctx, 2),
+        fft::Fft3D::Stage::make_join(join_hook, &ctx, 3)};
+    for (int rep = 0; rep < 20; ++rep) {
+      ctx = PipeTestCtx{};
+      fft.run_pipeline(8, stages);
+      const std::array<double, 8> want = {1, 3, 3, 9, 5, 15, 7, 21};
+      for (std::size_t b = 0; b < 8; ++b) ASSERT_EQ(ctx.v[b], want[b]) << "b=" << b;
+      ASSERT_EQ(ctx.out[0], 7.0);
+      ASSERT_EQ(ctx.out[1], 29.0);
+      ASSERT_EQ(ctx.out[2], 28.0);
     }
   }
 }
@@ -537,7 +492,6 @@ TEST(OperatorPipeline, NarrowHamiltonianApplyIsOneWake) {
   auto species = pseudo::PseudoSpecies::silicon(true);
   ham::HamiltonianOptions opt;
   opt.hybrid.enabled = false;
-  opt.fft_dispatch = fft::ExecPath::kTaskGraph;
   opt.op_pipeline = fft::PipelineMode::kFused;
   ham::Hamiltonian h(setup, species, opt);
   par::SerialComm comm;
@@ -558,8 +512,7 @@ TEST(OperatorPipeline, NarrowDensityIsOneWake) {
   ParallelReplayGuard preplay;
   exec::set_num_threads(4);
   ham::PlanewaveSetup setup(crystal::Crystal::silicon_supercell(1, 1, 1), 4.0, 1);
-  fft::Fft3D fft_dense(setup.dense_grid.dims(), fft::RadixKernel::kAuto,
-                       fft::ExecPath::kTaskGraph);
+  fft::Fft3D fft_dense(setup.dense_grid.dims());
   Rng rng(73);
   CMatrix psi(setup.n_g(), 2);
   for (std::size_t i = 0; i < psi.size(); ++i) psi.data()[i] = rng.complex_normal();
@@ -584,13 +537,12 @@ TEST(GraphCache, DistinguishesLineMaskContent) {
   // Two SphereMaps with equal mask lengths but different line content,
   // alternated through one Fft3D: a cache that keyed on shape alone would
   // replay the wrong (stale) line set. Every conversion is checked against
-  // an independent fork-join engine.
+  // a freshly built engine, whose empty cache cannot replay a stale graph.
   ThreadGuard guard;
   ParallelReplayGuard preplay;
   exec::set_num_threads(4);
   const std::size_t n = 8, grid_n = n * n * n;
-  fft::Fft3D graph_fft({n, n, n}, fft::RadixKernel::kAuto, fft::ExecPath::kTaskGraph);
-  fft::Fft3D fork_fft({n, n, n}, fft::RadixKernel::kAuto, fft::ExecPath::kForkJoin);
+  fft::Fft3D graph_fft({n, n, n});
   std::vector<std::size_t> lower(grid_n / 2), upper(grid_n / 2);
   for (std::size_t i = 0; i < grid_n / 2; ++i) {
     lower[i] = i;
@@ -605,8 +557,9 @@ TEST(GraphCache, DistinguishesLineMaskContent) {
   for (auto& c : coeffs) c = rng.complex_normal();
   std::vector<Complex> a(grid_n), b(grid_n);
   for (const auto* sm : {&sm_lower, &sm_upper, &sm_lower, &sm_upper}) {
+    fft::Fft3D fresh_fft({n, n, n});
     grid::sphere_to_grid(graph_fft, *sm, coeffs, a);
-    grid::sphere_to_grid(fork_fft, *sm, coeffs, b);
+    grid::sphere_to_grid(fresh_fft, *sm, coeffs, b);
     ASSERT_EQ(0, std::memcmp(a.data(), b.data(), a.size() * sizeof(Complex)));
   }
 }
@@ -634,13 +587,14 @@ TEST(GraphCache, DistinguishesHookAndStageIdentity) {
   // Identical batch shape and masks, two different prologue hooks, plus a
   // pipeline with an extra interior stage: three distinct cached graphs.
   // Stale replay of any of them against the wrong hook/stage list would
-  // produce the wrong sign or skip the negation.
+  // produce the wrong sign or skip the negation. Every call is checked
+  // against a freshly built engine, whose empty cache cannot replay a
+  // stale graph.
   ThreadGuard guard;
   ParallelReplayGuard preplay;
   exec::set_num_threads(4);
   const std::size_t n = 6, grid_n = n * n * n, nb = 3;
-  fft::Fft3D graph_fft({n, n, n}, fft::RadixKernel::kAuto, fft::ExecPath::kTaskGraph);
-  fft::Fft3D fork_fft({n, n, n}, fft::RadixKernel::kAuto, fft::ExecPath::kForkJoin);
+  fft::Fft3D graph_fft({n, n, n});
   std::vector<Complex> a(grid_n * nb), b(grid_n * nb);
   // All-lines masks: the hook-fill contract is trivially satisfied.
   std::vector<std::uint32_t> all_x(n * n), all_y(n * n);
@@ -649,7 +603,7 @@ TEST(GraphCache, DistinguishesHookAndStageIdentity) {
   for (int rep = 0; rep < 2; ++rep) {
     for (const auto hook : {&fill_plus, &fill_minus}) {
       graph_fft.inverse_many_active(a.data(), nb, all_x, all_y, *hook, &ca);
-      fork_fft.inverse_many_active(b.data(), nb, all_x, all_y, *hook, &cb);
+      fft::Fft3D({n, n, n}).inverse_many_active(b.data(), nb, all_x, all_y, *hook, &cb);
       ASSERT_EQ(0, std::memcmp(a.data(), b.data(), a.size() * sizeof(Complex)));
     }
     // Same shape with an extra interior negation stage (run_pipeline): must
@@ -671,8 +625,88 @@ TEST(GraphCache, DistinguishesHookAndStageIdentity) {
         fft::Fft3D::Stage::make_hook(negate, &cb),
         fft::Fft3D::Stage::make_passes(+1, b.data(), passes)};
     graph_fft.run_pipeline(nb, st_a);
-    fork_fft.run_pipeline(nb, st_b);
+    fft::Fft3D({n, n, n}).run_pipeline(nb, st_b);
     ASSERT_EQ(0, std::memcmp(a.data(), b.data(), a.size() * sizeof(Complex)));
+  }
+}
+
+namespace {
+
+/// Per-call state of the cache-full fallback test. The chained hook scales
+/// member b's input by v[b], where v[b] reads v[b-1] inside each run of two
+/// members; the join sums each job's slice of members in batch order.
+struct FallbackCtx {
+  const Complex* init = nullptr;
+  Complex* grids = nullptr;
+  std::size_t grid_n = 0;
+  std::size_t count = 0;
+  std::array<double, 8> v{};
+  std::array<Complex, 3> sums{};
+  static void scale(void* u, std::size_t b) {
+    auto* c = static_cast<FallbackCtx*>(u);
+    c->v[b] = b % 2 == 0 ? static_cast<double>(b + 1) : c->v[b - 1] * 3.0;
+    for (std::size_t i = 0; i < c->grid_n; ++i)
+      c->grids[b * c->grid_n + i] = c->v[b] * c->init[b * c->grid_n + i];
+  }
+  static void sum(void* u, std::size_t j) {
+    auto* c = static_cast<FallbackCtx*>(u);
+    const std::size_t per = (c->count + 2) / 3;
+    Complex acc{0.0, 0.0};
+    for (std::size_t b = j * per; b < std::min(c->count, (j + 1) * per); ++b)
+      for (std::size_t i = 0; i < c->grid_n; ++i) acc += c->grids[b * c->grid_n + i];
+    c->sums[j] = acc;
+  }
+};
+
+}  // namespace
+
+TEST(GraphCache, FullCacheFallsBackToStagedExecution) {
+  // Once an engine holds kMaxCachedGraphs shapes, a novel shape runs as one
+  // parallel_for per stage (range jobs, no graph job). Its bytes must equal
+  // a fresh engine's, which builds and replays the graph for that shape.
+  ThreadGuard guard;
+  ParallelReplayGuard preplay;
+  const std::size_t n = 6, grid_n = n * n * n, nb = 6;
+  fft::Fft3D full_fft({n, n, n});
+  const auto noop = +[](void*, std::size_t) {};
+  for (std::size_t count = 1; count <= fft::Fft3D::kMaxCachedGraphs; ++count) {
+    const std::array<fft::Fft3D::Stage, 1> fill = {fft::Fft3D::Stage::make_hook(noop, nullptr)};
+    full_fft.run_pipeline(count, fill);
+  }
+
+  std::vector<std::uint32_t> x_lines, y_lines;
+  for (std::uint32_t l = 0; l < n * n; ++l) {
+    if (l % 2 == 0) x_lines.push_back(l);
+    if (l % 3 != 0) y_lines.push_back(l);
+  }
+  const std::array<fft::Fft3D::PassSpec, 3> passes = {
+      fft::Fft3D::PassSpec{x_lines.data(), x_lines.size()},
+      fft::Fft3D::PassSpec{y_lines.data(), y_lines.size()},
+      fft::Fft3D::PassSpec{nullptr, n * n}};
+  Rng rng(89);
+  std::vector<Complex> init(grid_n * nb);
+  for (auto& x : init) x = rng.complex_normal();
+
+  for (std::size_t nt : {1u, 4u}) {
+    exec::set_num_threads(nt);
+    std::vector<Complex> a(grid_n * nb), b(grid_n * nb);
+    FallbackCtx ca{init.data(), a.data(), grid_n, nb}, cb{init.data(), b.data(), grid_n, nb};
+    const auto stages = [&](FallbackCtx& c) {
+      return std::array<fft::Fft3D::Stage, 3>{
+          fft::Fft3D::Stage::make_hook(&FallbackCtx::scale, &c, 2),
+          fft::Fft3D::Stage::make_passes(-1, c.grids, passes),
+          fft::Fft3D::Stage::make_join(&FallbackCtx::sum, &c, 3)};
+    };
+    const std::uint64_t g0 = exec::pool().graph_jobs();
+    const std::uint64_t r0 = exec::pool().range_jobs();
+    full_fft.run_pipeline(nb, stages(ca));
+    if (nt == 4) {
+      EXPECT_EQ(exec::pool().graph_jobs() - g0, 0u);
+      EXPECT_GT(exec::pool().range_jobs() - r0, 0u);
+    }
+    fft::Fft3D({n, n, n}).run_pipeline(nb, stages(cb));
+    ASSERT_EQ(0, std::memcmp(a.data(), b.data(), a.size() * sizeof(Complex))) << "nt=" << nt;
+    for (std::size_t j = 0; j < 3; ++j) ASSERT_EQ(ca.sums[j], cb.sums[j]) << "nt=" << nt;
   }
 }
 
@@ -688,7 +722,6 @@ TEST(GraphCache, HamiltonianCacheKeySweep) {
   auto species = pseudo::PseudoSpecies::silicon(true);
   ham::HamiltonianOptions fused_opt;
   fused_opt.hybrid.enabled = false;
-  fused_opt.fft_dispatch = fft::ExecPath::kTaskGraph;
   fused_opt.op_pipeline = fft::PipelineMode::kFused;
   ham::HamiltonianOptions staged_opt = fused_opt;
   staged_opt.op_pipeline = fft::PipelineMode::kStaged;

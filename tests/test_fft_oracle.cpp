@@ -1,5 +1,4 @@
-// Independent ground-truth oracle for the FFT stack, exercised with BOTH
-// radix kernels (scalar and SIMD) forced at plan time. Nothing here reuses
+// Independent ground-truth oracle for the FFT stack. Nothing here reuses
 // plan machinery as its own reference: every property is checked against a
 // naive O(n^2) DFT built from cos/sin, or against an algebraic identity
 // (round trip, Parseval, circular shift), or against the unmasked full
@@ -23,7 +22,6 @@ namespace {
 
 using fft::Fft3D;
 using fft::FftPlan1D;
-using fft::RadixKernel;
 
 std::vector<Complex> random_vec(std::size_t n, std::uint64_t seed) {
   Rng rng(seed);
@@ -51,12 +49,9 @@ const std::size_t kSizes[] = {1,  2,  3,  4,  5,  6,  7,  8,  9,  10, 11, 12, 13
                               15, 16, 17, 18, 20, 24, 25, 27, 29, 30, 31, 36, 40,
                               45, 48, 49, 60, 64, 72, 77, 90, 100, 120};
 
-class FftOracle : public ::testing::TestWithParam<RadixKernel> {};
-
-TEST_P(FftOracle, MatchesNaiveDftBothDirections) {
+TEST(FftOracle, MatchesNaiveDftBothDirections) {
   for (const std::size_t n : kSizes) {
-    FftPlan1D plan(n, GetParam());
-    ASSERT_EQ(plan.kernel(), GetParam());
+    FftPlan1D plan(n);
     for (std::uint64_t seed : {1ull, 2ull}) {
       const auto x = random_vec(n, 1000 * n + seed);
       for (int sign : {-1, +1}) {
@@ -72,9 +67,9 @@ TEST_P(FftOracle, MatchesNaiveDftBothDirections) {
   }
 }
 
-TEST_P(FftOracle, RoundTripIsIdentityTo1em12) {
+TEST(FftOracle, RoundTripIsIdentityTo1em12) {
   for (const std::size_t n : kSizes) {
-    FftPlan1D plan(n, GetParam());
+    FftPlan1D plan(n);
     const auto x = random_vec(n, 31 * n + 5);
     auto fwd = plan_execute(plan, x, -1);
     auto back = plan_execute(plan, fwd, +1);
@@ -84,9 +79,9 @@ TEST_P(FftOracle, RoundTripIsIdentityTo1em12) {
   }
 }
 
-TEST_P(FftOracle, ParsevalHolds) {
+TEST(FftOracle, ParsevalHolds) {
   for (const std::size_t n : kSizes) {
-    FftPlan1D plan(n, GetParam());
+    FftPlan1D plan(n);
     const auto x = random_vec(n, 7 * n + 3);
     const auto fx = plan_execute(plan, x, -1);
     double sx = 0.0, sf = 0.0;
@@ -97,10 +92,10 @@ TEST_P(FftOracle, ParsevalHolds) {
   }
 }
 
-TEST_P(FftOracle, CircularShiftBecomesPhaseRamp) {
+TEST(FftOracle, CircularShiftBecomesPhaseRamp) {
   // x'[m] = x[(m - s) mod n]  =>  X'[k] = X[k] * exp(-2*pi*i*k*s/n).
   for (const std::size_t n : {12ul, 30ul, 29ul, 60ul}) {
-    FftPlan1D plan(n, GetParam());
+    FftPlan1D plan(n);
     const auto x = random_vec(n, 400 + n);
     const std::size_t s = n / 3 + 1;
     std::vector<Complex> xs(n);
@@ -117,10 +112,10 @@ TEST_P(FftOracle, CircularShiftBecomesPhaseRamp) {
   }
 }
 
-TEST_P(FftOracle, StridedInputMatchesContiguous) {
+TEST(FftOracle, StridedInputMatchesContiguous) {
   for (const std::size_t n : {15ul, 16ul, 29ul}) {
     for (const std::size_t stride : {2ul, 3ul, 7ul}) {
-      FftPlan1D plan(n, GetParam());
+      FftPlan1D plan(n);
       const auto x = random_vec(n, 17 * n + stride);
       std::vector<Complex> strided(n * stride, Complex{99.0, -99.0});
       for (std::size_t i = 0; i < n; ++i) strided[i * stride] = x[i];
@@ -155,11 +150,11 @@ std::vector<Complex> naive_dft3(const std::vector<Complex>& x,
   return a;
 }
 
-TEST_P(FftOracle, Fft3DMatchesNaiveSeparableReference) {
+TEST(FftOracle, Fft3DMatchesNaiveSeparableReference) {
   for (const auto& dims : {std::array<std::size_t, 3>{4, 6, 5},
                            std::array<std::size_t, 3>{8, 9, 10},
                            std::array<std::size_t, 3>{7, 4, 3}}) {
-    Fft3D fft(dims, GetParam());
+    Fft3D fft(dims);
     const auto x = random_vec(fft.size(), 90 + dims[0]);
     auto got = x;
     fft.forward(got.data());
@@ -170,8 +165,8 @@ TEST_P(FftOracle, Fft3DMatchesNaiveSeparableReference) {
   }
 }
 
-TEST_P(FftOracle, Fft3DRoundTripAndParseval) {
-  Fft3D fft({12, 10, 9}, GetParam());
+TEST(FftOracle, Fft3DRoundTripAndParseval) {
+  Fft3D fft({12, 10, 9});
   const auto x = random_vec(fft.size(), 123);
   auto y = x;
   fft.forward(y.data());
@@ -187,12 +182,10 @@ TEST_P(FftOracle, Fft3DRoundTripAndParseval) {
 /// Randomized sphere masks for the partial-pass transforms: the fused path
 /// must be bit-identical to scatter + full FFT (inverse) and full FFT +
 /// gather (forward) for ANY support set, not just physical spheres.
-class MaskedPassOracle : public ::testing::TestWithParam<RadixKernel> {};
-
-TEST_P(MaskedPassOracle, FusedTransformsMatchFullTransformsOnRandomMasks) {
+TEST(MaskedPassOracle, FusedTransformsMatchFullTransformsOnRandomMasks) {
   const std::array<std::size_t, 3> dims{10, 8, 6};
   const std::size_t nw = dims[0] * dims[1] * dims[2];
-  Fft3D fft(dims, GetParam());
+  Fft3D fft(dims);
   Rng rng(2024);
   for (int trial = 0; trial < 4; ++trial) {
     // Random support: ~25% of the grid; trial 3 is the single-point edge.
@@ -227,32 +220,6 @@ TEST_P(MaskedPassOracle, FusedTransformsMatchFullTransformsOnRandomMasks) {
       ASSERT_EQ(got[i], want[i]) << "trial=" << trial << " i=" << i;
   }
 }
-
-TEST(FftOracleKernels, ScalarAndSimdAgreeToMachinePrecision) {
-  // The two kernels share the operation order in the combines and twiddle
-  // multiplies but the SIMD leaves use exact butterflies instead of table
-  // twiddles, so they agree to final-bit rounding (empirically a few 1e-16
-  // per element), not bitwise.
-  for (const std::size_t n : {16ul, 60ul, 90ul, 120ul}) {
-    FftPlan1D scalar(n, RadixKernel::kScalar);
-    FftPlan1D simd(n, RadixKernel::kSimd);
-    const auto x = random_vec(n, 5000 + n);
-    const auto a = plan_execute(scalar, x, -1);
-    const auto b = plan_execute(simd, x, -1);
-    EXPECT_LT(max_abs_diff(a, b), 1e-13 * static_cast<double>(n)) << "n=" << n;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Kernels, FftOracle,
-                         ::testing::Values(RadixKernel::kScalar, RadixKernel::kSimd),
-                         [](const auto& info) {
-                           return info.param == RadixKernel::kScalar ? "scalar" : "simd";
-                         });
-INSTANTIATE_TEST_SUITE_P(Kernels, MaskedPassOracle,
-                         ::testing::Values(RadixKernel::kScalar, RadixKernel::kSimd),
-                         [](const auto& info) {
-                           return info.param == RadixKernel::kScalar ? "scalar" : "simd";
-                         });
 
 }  // namespace
 }  // namespace pwdft

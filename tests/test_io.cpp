@@ -200,14 +200,17 @@ TEST(CheckpointFault, RejectsUnknownFormatVersion) {
   TempPath p("ver.bin");
   io::save_wavefunctions(p.path, meta, psi);
   std::string bad = fault::slurp(p.path);
-  bad[7] = '9';  // version byte of the magic
-  fault::spit(p.path, bad);
   CMatrix loaded;
-  try {
-    io::load_wavefunctions(p.path, loaded);
-    FAIL() << "should have thrown";
-  } catch (const Error& e) {
-    EXPECT_NE(std::string(e.what()).find("unsupported format version"), std::string::npos);
+  // '1' is the retired v1 layout (raw-struct header, no checksum).
+  for (const char ver : {'9', '1'}) {
+    bad[7] = ver;  // version byte of the magic
+    fault::spit(p.path, bad);
+    try {
+      io::load_wavefunctions(p.path, loaded);
+      FAIL() << "version " << ver << " should have thrown";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("unsupported format version"), std::string::npos);
+    }
   }
 }
 
@@ -222,28 +225,6 @@ TEST(CheckpointFault, RejectsWrongFamilyMagic) {
   // A density file is not a wavefunction file even though both parse as v2.
   CMatrix psi;
   EXPECT_THROW(io::load_wavefunctions(p.path, psi), Error);
-}
-
-// Legacy v1 snapshot (raw-struct header, no checksum) still loads.
-TEST(CheckpointFault, ReadsLegacyV1Wavefunctions) {
-  auto setup = test::make_si8_setup(3.0, 1);
-  auto psi = test::random_orthonormal(setup, 4, 41);
-  const auto meta = io::CheckpointMeta::from_setup(setup, 4, 3.75, 9);
-  static_assert(sizeof(io::CheckpointMeta) == 48);
-
-  TempPath p("v1.bin");
-  {
-    std::ofstream f(p.path, std::ios::binary);
-    f.write("PWDFTPS1", 8);
-    f.write(reinterpret_cast<const char*>(&meta), sizeof(meta));
-    f.write(reinterpret_cast<const char*>(psi.data()),
-            static_cast<std::streamsize>(psi.size() * sizeof(Complex)));
-  }
-  CMatrix loaded;
-  const auto got = io::load_wavefunctions(p.path, loaded, &meta);
-  EXPECT_EQ(got.step, 9u);
-  EXPECT_DOUBLE_EQ(got.time_au, 3.75);
-  EXPECT_EQ(test::max_abs_diff(loaded, psi), 0.0);
 }
 
 TEST(CheckpointFault, BlobRoundTripAndFaults) {

@@ -270,24 +270,6 @@ TEST(HierComm, SubstatsFoldIntoWorldRecord) {
   });
 }
 
-TEST(HierComm, BandGroupsFromEnvRejectsNonDivisorsLoudly) {
-  unsetenv("PWDFT_BAND_GROUPS");
-  EXPECT_EQ(par::HierComm::band_groups_from_env(8), 1);
-  setenv("PWDFT_BAND_GROUPS", "2", 1);
-  EXPECT_EQ(par::HierComm::band_groups_from_env(8), 2);
-  // A layout request that cannot be honored must not silently run the flat
-  // layout: non-divisors, out-of-range counts, and garbage all throw.
-  setenv("PWDFT_BAND_GROUPS", "3", 1);  // does not divide 8
-  EXPECT_THROW(par::HierComm::band_groups_from_env(8), Error);
-  setenv("PWDFT_BAND_GROUPS", "16", 1);  // more groups than ranks
-  EXPECT_THROW(par::HierComm::band_groups_from_env(8), Error);
-  setenv("PWDFT_BAND_GROUPS", "0", 1);
-  EXPECT_THROW(par::HierComm::band_groups_from_env(8), Error);
-  setenv("PWDFT_BAND_GROUPS", "two", 1);
-  EXPECT_THROW(par::HierComm::band_groups_from_env(8), Error);
-  unsetenv("PWDFT_BAND_GROUPS");
-}
-
 TEST(SerialComm, DupIsSerial) {
   par::SerialComm c;
   auto dup = c.dup();

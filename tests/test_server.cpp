@@ -366,6 +366,14 @@ serve::JobSpec child_spec_b() {
 // snapshot on disk. Live progress is published only AFTER the cadence
 // snapshot is written, so observing steps_done >= 1 guarantees snapshot 1
 // exists — the kill always lands mid-trajectory with recoverable state.
+//
+// The ground state dominates a job's run time (a propagation step is a few
+// percent of it), and co-resident tenants share the pool unevenly, so one
+// job can run all three steps before the other leaves its ground state.
+// The job seen first past snapshot 1 is therefore held with a cooperative
+// preempt (it stops at its next step boundary, before its horizon, with a
+// snapshot on disk) and resumed just before the kill, so the kill lands
+// with both jobs admitted and mid-trajectory.
 TEST(JobServerChildProcess, RunJobsUntilKilled) {
   const char* dir = std::getenv("PWDFT_SERVE_TEST_CHILD_DIR");
   if (!dir) GTEST_SKIP() << "child-process helper; driven by the restart test";
@@ -376,13 +384,23 @@ TEST(JobServerChildProcess, RunJobsUntilKilled) {
   const auto a = engine.submit(child_spec_a());
   const auto b = engine.submit(child_spec_b());
   ASSERT_TRUE(a.ok() && b.ok());
+  bool held_a = false, held_b = false;
   for (;;) {
     const auto sa = engine.status(a.id);
     const auto sb = engine.status(b.id);
-    // A job that went terminal before its first snapshot is a bug, not a
-    // kill window: exit cleanly so the parent reports it instead of hanging.
-    if (serve::is_terminal(sa.state) || serve::is_terminal(sb.state)) ::_exit(3);
-    if (sa.steps_done >= 1 && sb.steps_done >= 1) ::raise(SIGKILL);
+    // Any terminal state other than our own hold is a bug, not a kill
+    // window: exit cleanly so the parent reports it instead of hanging.
+    const auto unexpected_stop = [](const serve::JobStatus& s, bool held) {
+      return serve::is_terminal(s.state) && !(held && s.state == serve::JobState::kPreempted);
+    };
+    if (unexpected_stop(sa, held_a) || unexpected_stop(sb, held_b)) ::_exit(3);
+    if (sa.steps_done >= 1 && sb.steps_done >= 1) {
+      if (sa.state == serve::JobState::kPreempted && !engine.resume(a.id).ok()) ::_exit(4);
+      if (sb.state == serve::JobState::kPreempted && !engine.resume(b.id).ok()) ::_exit(4);
+      ::raise(SIGKILL);
+    }
+    if (sa.steps_done >= 1 && !held_a) held_a = engine.preempt(a.id) == serve::ErrorCode::kOk;
+    if (sb.steps_done >= 1 && !held_b) held_b = engine.preempt(b.id) == serve::ErrorCode::kOk;
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
 }
