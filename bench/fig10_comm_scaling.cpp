@@ -21,10 +21,6 @@
 //     wavefunction transpose over the band-grouped (HierComm) grid
 //     transpose of the same global block. Deterministic: counted by the
 //     CommStats layer, not timed.
-//   - band_rebalance_gain: max per-rank pair-solve cost of the uniform
-//     band layout over the par::CostPartition::balance layout under a
-//     deterministically skewed cost vector (the FockOperator
-//     debug_set_rank_cost hook feeds the same vector). Deterministic.
 //
 // `--json <path>` writes the measured rows as bench_json.hpp records; the
 // committed BENCH_scaling.json baseline tracks them in the CI perf-smoke
@@ -41,7 +37,6 @@
 #include "common/random.hpp"
 #include "common/table.hpp"
 #include "common/timer.hpp"
-#include "ham/fock.hpp"
 #include "parallel/hier_comm.hpp"
 #include "parallel/overlap.hpp"
 #include "parallel/thread_comm.hpp"
@@ -137,7 +132,7 @@ double mean_step_latency(int np, int band_groups, bool overlap, int steps,
     for (std::size_t i = 0; i < band_local.size(); ++i)
       band_local.data()[i] = rng.complex_normal();
     CMatrix g_local;
-    par::TransposeOverlap ovl(overlap);
+    par::TransposeOverlap ovl;
     const std::size_t units = kUnits * std::size_t(c.rank() + 1);
     volatile double sink = 0.0;
 
@@ -248,38 +243,6 @@ int main(int argc, char** argv) {
                 "(band groups shrink the rendezvous and the wire volume)\n",
                 flat, grid, ratio);
     json.add("comm_volume_2d", "ranks:4/groups:2", 0.0, ratio);
-  }
-
-  // ---- Deterministic: dynamic band rebalance gain. ----
-  {
-    // Skewed per-rank cost measurement (rank 0 is 4x slower), smeared over
-    // the uniform layout exactly as FockOperator::update_balance does.
-    const int np = 4;
-    const std::size_t nbands = 16;
-    par::BlockPartition bands(nbands, np);
-    std::vector<double> rank_cost{4.0, 1.0, 1.0, 1.0};
-    std::vector<double> col_cost(nbands);
-    for (std::size_t j = 0; j < nbands; ++j) {
-      const int owner = bands.owner(j);
-      col_cost[j] = rank_cost[owner] / double(bands.count(owner));
-    }
-    auto load = [&](const par::CostPartition& p) {
-      double worst = 0.0;
-      for (int r = 0; r < np; ++r) {
-        double s = 0.0;
-        for (std::size_t j = p.offset(r); j < p.offset(r) + p.count(r); ++j) s += col_cost[j];
-        worst = std::max(worst, s);
-      }
-      return worst;
-    };
-    const par::CostPartition uniform(bands);
-    const auto balanced = par::CostPartition::balance(col_cost, np);
-    const double gain = load(balanced) > 0 ? load(uniform) / load(balanced) : 0.0;
-    std::printf("\n== Deterministic: band rebalance, max per-rank cost ==\n");
-    std::printf("uniform %.3f; balanced %.3f; gain %.3f (greedy CostPartition\n"
-                "rebalance of a 4x-skewed measured cost vector, %zu bands)\n",
-                load(uniform), load(balanced), gain, nbands);
-    json.add("band_rebalance_gain", "ranks:4/skew:4x", 0.0, gain);
   }
 
   if (!json_path.empty()) json.write(json_path);

@@ -425,11 +425,6 @@ enum class Slot : std::size_t {
   // partial vectors (parallel/hier_comm.cpp).
   hier_group,
   hier_world,
-  // Fock dynamic band rebalance: redistributed input block, its
-  // accumulator, and the shuffled-back contribution block.
-  fock_bal_psi,
-  fock_bal_y,
-  fock_bal_back,
   // Per-band norm/scalar slots (LOBPCG residuals, CN residual norms).
   band_norms,
   // LOBPCG per-iteration blocks.

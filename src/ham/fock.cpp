@@ -3,16 +3,11 @@
 #include <algorithm>
 
 #include "common/check.hpp"
-#include "common/env.hpp"
 #include "common/exec.hpp"
-#include "common/timer.hpp"
 #include "grid/transforms.hpp"
 #include "linalg/blas.hpp"
-#include "parallel/transpose.hpp"
 
 namespace pwdft::ham {
-
-bool band_rebalance_env_default() { return env::flag("PWDFT_BAND_REBALANCE", false); }
 
 namespace {
 
@@ -124,83 +119,10 @@ void FockOperator::apply_add(const CMatrix& psi_local, CMatrix& y_local, par::Co
                   psi_local.cols() == y_local.cols(),
               "FockOperator: shape mismatch");
 
-  // Dynamic band rebalance (HONPAS-style): applies when the block being
-  // applied to is laid out as the registered orbital partition on every
-  // rank (the PT-CN/SCF hot path). The agreement check is itself a
-  // collective, so all ranks take the same branch.
-  bool rebal = false;
-  if (opt_.band_rebalance && comm.size() > 1 && bands_.total() > 0) {
-    double ok = psi_local.cols() == bands_.count(comm.rank()) ? 1.0 : 0.0;
-    comm.allreduce_sum(&ok, 1);
-    rebal = ok == static_cast<double>(comm.size());
-  }
-  if (!rebal) {
-    apply_block(psi_local, y_local, comm, false);
-    return;
-  }
-
-  update_balance(comm);
-  const par::CostPartition uniform(bands_);
-  if (bal_ == uniform) {
-    // Identity layout (no measurement yet, or the measurements agree with
-    // the near-equal split): solve in place, but keep measuring.
-    apply_block(psi_local, y_local, comm, true);
-    return;
-  }
-
-  // Shuffle the applied columns to the balanced layout, solve there, and
-  // shuffle the contributions back (one Alltoallv each way). Every column
-  // runs the identical per-element pipeline wherever it lands and the
-  // broadcast sequence is column-count independent, so the result is
-  // bit-identical to the static layout whatever partition the measured
-  // costs produce (docs/threading.md).
-  auto& ws = exec::workspace();
-  CMatrix& psi_bal = ws.cmat(exec::Slot::fock_bal_psi, 0, 0);
-  par::redistribute_columns(comm, uniform, bal_, psi_local, psi_bal);
-  CMatrix& y_bal =
-      ws.cmat(exec::Slot::fock_bal_y, setup_.n_g(), bal_.count(comm.rank()));
-  y_bal.fill(Complex{0.0, 0.0});
-  apply_block(psi_bal, y_bal, comm, true);
-  CMatrix& y_back = ws.cmat(exec::Slot::fock_bal_back, 0, 0);
-  par::redistribute_columns(comm, bal_, uniform, y_bal, y_back);
-  for (std::size_t j = 0; j < psi_local.cols(); ++j)
-    linalg::axpy(Complex{1.0, 0.0}, {y_back.col(j), setup_.n_g()},
-                 {y_local.col(j), setup_.n_g()});
-}
-
-void FockOperator::update_balance(par::Comm& comm) {
-  const int np = comm.size();
-  if (bal_.parts() != np || bal_.total() != bands_.total())
-    bal_ = par::CostPartition(bands_);  // identity until a measurement exists
-  if (measured_seconds_.empty()) return;
-  // Every rank contributes its measured slot; the allreduced vector — and
-  // therefore the partition every rank computes from it — is identical
-  // everywhere, keeping the shuffle collective-consistent.
-  std::vector<double> secs(measured_seconds_);
-  secs.resize(np, 0.0);
-  comm.allreduce_sum(secs.data(), secs.size());
-  // Per-column cost model: a rank's seconds smeared over the columns it
-  // solved last time. Coarse (rank-level, not pair-level) but measured, and
-  // enough to drain a skewed layout within a few applies.
-  std::vector<double> costs(bands_.total(), 0.0);
-  for (std::size_t j = 0; j < costs.size(); ++j) {
-    const int o = bal_.owner(j);
-    const std::size_t c = bal_.count(o);
-    if (c > 0) costs[j] = secs[o] / static_cast<double>(c);
-  }
-  bal_ = par::CostPartition::balance(costs, np);
-  measured_seconds_.clear();
-}
-
-void FockOperator::apply_block(const CMatrix& psi_local, CMatrix& y_local, par::Comm& comm,
-                               bool measure) {
   const std::size_t nw = setup_.n_wfc();
   const std::size_t ncol = psi_local.cols();
   const std::size_t nb = bands_.total();
   auto& ws = exec::workspace();
-  if (measure) {
-    measured_seconds_.assign(comm.size(), 0.0);
-  }
   if (ncol == 0) {
     // Still participate in the collective broadcasts (band order).
     auto buf = ws.cbuf(exec::Slot::fock_fetch, nw);
@@ -245,13 +167,7 @@ void FockOperator::apply_block(const CMatrix& psi_local, CMatrix& y_local, par::
 
   for (std::size_t w0 = 0; w0 < nb; w0 += win) {
     const std::size_t wn = std::min(win, nb - w0);
-    if (w0 + win < nb) {
-      if (opt_.overlap) {
-        prefetch.run([=] { fetch_window(w0 + win, win, next); });
-      } else {
-        fetch_window(w0 + win, win, next);
-      }
-    }
+    if (w0 + win < nb) prefetch.run([=] { fetch_window(w0 + win, win, next); });
 
     // One task per (band-in-window, column block): the dominant O(Ne^2)
     // loop. Each task forms its pair densities in its own thread's arena,
@@ -313,16 +229,11 @@ void FockOperator::apply_block(const CMatrix& psi_local, CMatrix& y_local, par::
     // cached for its block shape (one pool wake per transform). Identical
     // per-task operations either way, so the choice never changes results
     // (docs/threading.md).
-    WallTimer pair_timer;
     if (opt_.band_line_split && exec::prefer_line_split(wn * nblocks)) {
       pair_block(0, wn * nblocks);
     } else {
       exec::parallel_for(wn * nblocks, pair_block);
     }
-    // Rebalance cost input: the pair-solve compute only, excluding the
-    // broadcast fetches and the prefetch join (whose rendezvous waits
-    // reflect the imbalance being measured, not this rank's work).
-    if (measure) measured_seconds_[comm.rank()] += pair_timer.seconds();
     for (std::size_t il = 0; il < wn; ++il)
       if (occ_[w0 + il] > 1e-12) pair_solves_ += ncol;
 

@@ -11,11 +11,10 @@
 /// paper's optimization steps (§3.2):
 ///   - batched:               batch the pair-density FFTs (step 2)
 ///   - single_precision_comm: broadcast wavefunctions as complex<float> (step 4)
-///   - overlap:               prefetch the next window's broadcasts on the
-///                            engine's async lane while the current window
-///                            computes (step 5)
 ///   - band_window:           bands whose (band x batch) pair solves are
 ///                            distributed across the engine as one window
+/// The next window's broadcasts are prefetched on the engine's async lane
+/// while the current window computes (step 5).
 /// All options are numerically equivalent except single_precision_comm,
 /// whose rounding is bounded by tests (paper: "negligible changes").
 
@@ -29,25 +28,14 @@
 #include "linalg/matrix.hpp"
 #include "parallel/comm.hpp"
 #include "parallel/distribution.hpp"
-#include "parallel/overlap.hpp"
 #include "xc/hybrid.hpp"
 
 namespace pwdft::ham {
-
-/// PWDFT_BAND_REBALANCE resolution: 1/on => true, unset/0/off => false.
-/// The dynamic redistribution is opt-in (it is bit-identical but moves
-/// data, so the flat layout stays the default).
-bool band_rebalance_env_default();
 
 struct FockOptions {
   bool batched = true;
   std::size_t batch_size = 8;
   bool single_precision_comm = false;
-  /// Prefetch the next window's orbital broadcasts on the engine's async
-  /// lane while the current window computes (paper §3.2 step 5). Defaults
-  /// to the PWDFT_COMM_OVERLAP resolution: overlap is the default
-  /// execution mode, shared with the transpose overlap knob.
-  bool overlap = par::comm_overlap_env_default();
   /// Bands per compute window: the band loop broadcasts a window of
   /// orbitals, then distributes the (band x batch) pair solves of the whole
   /// window across the exec engine. Each pair writes its contribution into
@@ -74,17 +62,6 @@ struct FockOptions {
   /// Bit-identical at any width. kAuto resolves PWDFT_OPERATOR_PIPELINE
   /// (or inherits the Hamiltonian-level choice when owned by one).
   fft::PipelineMode op_pipeline = fft::PipelineMode::kAuto;
-  /// Dynamic band redistribution of the pair-solve work (HONPAS-style,
-  /// Shang et al. arXiv:2009.03555): apply_add() times its local pair-solve
-  /// loop, allreduces the per-rank seconds, and greedily repartitions the
-  /// applied block's columns (par::CostPartition::balance) so measured cost
-  /// — not column count — is even. Columns are shuffled to the balanced
-  /// layout with one Alltoallv, solved, and shuffled back; the broadcast
-  /// sequence and the per-column arithmetic are unchanged, so results are
-  /// bit-identical to the static layout whatever partition the measurements
-  /// produce (docs/threading.md). Defaults to the PWDFT_BAND_REBALANCE
-  /// resolution (off).
-  bool band_rebalance = band_rebalance_env_default();
 };
 
 class FockOperator {
@@ -117,32 +94,12 @@ class FockOperator {
   /// Number of orbital broadcasts issued (Alg. 2 line 4).
   std::uint64_t broadcasts() const { return broadcasts_; }
 
-  /// The column partition the last rebalanced apply_add() solved in (the
-  /// identity layout until a measurement exists). Instrumentation for
-  /// tests/benches.
-  const par::CostPartition& rebalance_partition() const { return bal_; }
-  /// Overrides the measured per-rank pair-solve seconds used by the next
-  /// rebalanced apply_add() (test/bench hook: forces a deterministic
-  /// redistribution without depending on wall-clock noise).
-  void debug_set_rank_cost(std::vector<double> seconds) {
-    measured_seconds_ = std::move(seconds);
-  }
-
  private:
   /// Copies (owner) or receives (others) band `band` of the registered
-  /// orbitals into `buf` on the real-space wfc grid. May run on the exec
-  /// engine's async lane when overlap is enabled; the wire buffer comes from
+  /// orbitals into `buf` on the real-space wfc grid. Runs on the exec
+  /// engine's async lane for prefetched windows; the wire buffer comes from
   /// the executing thread's workspace arena.
   void fetch_orbital(std::size_t band, par::Comm& comm, std::span<Complex> buf);
-
-  /// The Alg. 2 window pipeline over one column block; y_local += VX*psi.
-  /// Handles ncol == 0 (broadcast participation only). Records the local
-  /// pair-solve seconds into measured_seconds_ when `measure` is set.
-  void apply_block(const CMatrix& psi_local, CMatrix& y_local, par::Comm& comm, bool measure);
-
-  /// Rebuilds bal_ from the allreduced per-rank pair-solve seconds of the
-  /// previous rebalanced apply (collective; identical on every rank).
-  void update_balance(par::Comm& comm);
 
   const PlanewaveSetup& setup_;
   xc::HybridParams hybrid_;
@@ -155,9 +112,6 @@ class FockOperator {
   CMatrix phi_real_;  ///< local orbitals on the real-space wfc grid
   std::uint64_t pair_solves_ = 0;
   std::uint64_t broadcasts_ = 0;
-  // Dynamic band rebalance state (band_rebalance option).
-  par::CostPartition bal_;                ///< layout of the last rebalanced apply
-  std::vector<double> measured_seconds_;  ///< per-rank pair-solve seconds (empty = none)
 };
 
 }  // namespace pwdft::ham

@@ -8,10 +8,7 @@
 /// overlap-matrix style GEMMs.
 
 #include <algorithm>
-#include <cmath>
 #include <cstddef>
-#include <span>
-#include <vector>
 
 #include "common/check.hpp"
 
@@ -60,81 +57,6 @@ class BlockPartition {
   }
   std::size_t total_ = 0;
   int parts_ = 1;
-};
-
-/// Contiguous partition of [0, total) with arbitrary block boundaries: the
-/// carrier of the dynamic band redistribution (HONPAS-style rebalance of
-/// the exchange pair work). Same query interface as BlockPartition, but the
-/// boundaries are data-driven instead of near-equal.
-class CostPartition {
- public:
-  CostPartition() = default;
-  /// The near-equal boundaries of a BlockPartition (the identity layout).
-  explicit CostPartition(const BlockPartition& b) : offsets_(b.parts() + 1) {
-    for (int p = 0; p < b.parts(); ++p) offsets_[p] = b.offset(p);
-    offsets_[b.parts()] = b.total();
-  }
-
-  /// Greedy contiguous rebalance: part p's boundary advances while taking
-  /// the next item keeps the cumulative cost at least as close to the ideal
-  /// target total*(p+1)/parts. Every part keeps >= 1 item while at least
-  /// `parts` items remain, so costs can skew boundaries but never starve a
-  /// rank of work that exists. Deterministic in `costs`; non-positive total
-  /// cost falls back to the near-equal split.
-  static CostPartition balance(std::span<const double> costs, int parts) {
-    PWDFT_CHECK(parts >= 1, "CostPartition: need at least one part");
-    const std::size_t n = costs.size();
-    double total = 0.0;
-    for (double c : costs) total += std::max(0.0, c);
-    if (!(total > 0.0)) return CostPartition(BlockPartition(n, parts));
-    CostPartition out;
-    out.offsets_.assign(parts + 1, n);
-    out.offsets_[0] = 0;
-    std::size_t i = 0;
-    double cum = 0.0;
-    for (int p = 0; p < parts - 1; ++p) {
-      const double target = total * static_cast<double>(p + 1) / parts;
-      std::size_t taken = 0;
-      while (i < n) {
-        // Leave one item for each remaining part.
-        if (n - i <= static_cast<std::size_t>(parts - 1 - p)) break;
-        const double with = cum + std::max(0.0, costs[i]);
-        if (taken > 0 && std::abs(with - target) > std::abs(cum - target)) break;
-        cum = with;
-        ++i;
-        ++taken;
-      }
-      out.offsets_[p + 1] = i;
-    }
-    return out;
-  }
-
-  std::size_t total() const { return offsets_.empty() ? 0 : offsets_.back(); }
-  int parts() const { return offsets_.empty() ? 1 : static_cast<int>(offsets_.size()) - 1; }
-
-  std::size_t count(int p) const {
-    check_part(p);
-    return offsets_[p + 1] - offsets_[p];
-  }
-  std::size_t offset(int p) const {
-    check_part(p);
-    return offsets_[p];
-  }
-  int owner(std::size_t index) const {
-    PWDFT_CHECK(index < total(), "CostPartition: index out of range");
-    const auto it = std::upper_bound(offsets_.begin(), offsets_.end(), index);
-    return static_cast<int>(it - offsets_.begin()) - 1;
-  }
-
-  friend bool operator==(const CostPartition& a, const CostPartition& b) {
-    return a.offsets_ == b.offsets_;
-  }
-
- private:
-  void check_part(int p) const {
-    PWDFT_CHECK(p >= 0 && p < parts(), "CostPartition: part " << p << " out of range");
-  }
-  std::vector<std::size_t> offsets_;  ///< parts+1 boundaries, offsets_[0] == 0
 };
 
 /// The two partitions used by the hybrid scheme for one wavefunction set.

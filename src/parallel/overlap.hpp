@@ -23,10 +23,7 @@
 /// exchange cannot steal workers from the compute it hides behind.
 ///
 /// Results are bit-identical to the synchronous call: pack/exchange/unpack
-/// move bytes, they never reassociate arithmetic. With overlap disabled
-/// (PWDFT_COMM_OVERLAP=0, or a disabled instance) start_*() degrades to the
-/// synchronous transpose on the parent communicator and wait() is a no-op,
-/// so call sites are written once against this interface.
+/// move bytes, they never reassociate arithmetic.
 ///
 /// Wire buffers are owned by the instance (monotonically grown, so steady
 /// state allocates nothing) rather than taken from the workspace arena: a
@@ -34,11 +31,11 @@
 /// exchange is in flight can therefore never alias the in-flight wires.
 ///
 /// Scheduling contract: start_*() and the first-use dup() are collective on
-/// the parent; every rank must enable overlap identically and start/wait
-/// the same transposes in the same order. One transpose may be in flight
-/// per instance; use one instance per concurrent stream (each owns its own
-/// dup'ed rendezvous domain). The owning thread must call start/wait; the
-/// destructor joins any in-flight exchange.
+/// the parent; every rank must start/wait the same transposes in the same
+/// order. One transpose may be in flight per instance; use one instance per
+/// concurrent stream (each owns its own dup'ed rendezvous domain). The
+/// owning thread must call start/wait; the destructor joins any in-flight
+/// exchange.
 
 #include <memory>
 #include <vector>
@@ -50,27 +47,20 @@
 
 namespace pwdft::par {
 
-/// PWDFT_COMM_OVERLAP resolution: unset/1/on => true, 0/off => false.
-/// Overlap is the default execution mode.
-bool comm_overlap_env_default();
-
 class TransposeOverlap {
  public:
-  TransposeOverlap() : TransposeOverlap(comm_overlap_env_default()) {}
-  explicit TransposeOverlap(bool enabled);
+  TransposeOverlap();
   ~TransposeOverlap();
   TransposeOverlap(const TransposeOverlap&) = delete;
   TransposeOverlap& operator=(const TransposeOverlap&) = delete;
 
-  bool enabled() const { return enabled_; }
-
   /// Packs band_local and parks the band->G exchange; g_out is written by
-  /// wait(). Synchronous on `comm` when disabled.
+  /// wait().
   void start_band_to_g(const WavefunctionTranspose& t, Comm& comm, const CMatrix& band_local,
                        CMatrix& g_out, bool single_precision);
 
   /// Packs g_local and parks the G->band exchange; band_out is written by
-  /// wait(). Synchronous on `comm` when disabled.
+  /// wait().
   void start_g_to_band(const WavefunctionTranspose& t, Comm& comm, const CMatrix& g_local,
                        CMatrix& band_out, bool single_precision);
 
@@ -89,7 +79,6 @@ class TransposeOverlap {
   void start(const WavefunctionTranspose& t, Comm& comm, const CMatrix& in, CMatrix& out,
              bool to_g, bool single_precision);
 
-  bool enabled_ = true;
   std::unique_ptr<Comm> ocomm_;  ///< lazily dup'ed exchange domain
   std::vector<unsigned char> send_, recv_;  ///< instance-owned wire buffers
   std::unique_ptr<Pending> pending_;

@@ -5,7 +5,6 @@
 #include <span>
 
 #include "common/check.hpp"
-#include "common/env.hpp"
 #include "common/exec.hpp"
 #include "parallel/overlap.hpp"
 
@@ -166,49 +165,10 @@ void WavefunctionTranspose::g_to_band(Comm& comm, const CMatrix& g_local, CMatri
     transpose_impl<Complex>(comm, gvecs_, bands_, false, g_local, band_local);
 }
 
-void redistribute_columns(Comm& comm, const CostPartition& from, const CostPartition& to,
-                          const CMatrix& in, CMatrix& out) {
-  const int np = comm.size();
-  const int me = comm.rank();
-  PWDFT_CHECK(from.parts() == np && to.parts() == np && from.total() == to.total(),
-              "redistribute_columns: partition/communicator mismatch");
-  PWDFT_CHECK(in.cols() == from.count(me), "redistribute_columns: bad local column count");
-  const std::size_t rows = in.rows();
-  const std::size_t colbytes = rows * sizeof(Complex);
-  out.resize(rows, to.count(me));
-
-  // Both partitions are contiguous and rank-ascending, so the columns bound
-  // for (or arriving from) each peer form one contiguous range: the
-  // Alltoallv runs straight out of `in` and into `out`, no pack phase.
-  std::vector<std::size_t> scounts(np), sdispls(np), rcounts(np), rdispls(np);
-  auto range = [](const CostPartition& a, int pa, const CostPartition& b, int pb,
-                  std::size_t& start, std::size_t& len) {
-    const std::size_t lo = std::max(a.offset(pa), b.offset(pb));
-    const std::size_t hi =
-        std::min(a.offset(pa) + a.count(pa), b.offset(pb) + b.count(pb));
-    start = lo;
-    len = hi > lo ? hi - lo : 0;
-  };
-  for (int r = 0; r < np; ++r) {
-    std::size_t s0 = 0, slen = 0, r0 = 0, rlen = 0;
-    range(from, me, to, r, s0, slen);  // my columns that r will own
-    range(from, r, to, me, r0, rlen);  // r's columns that I will own
-    scounts[r] = slen * colbytes;
-    rcounts[r] = rlen * colbytes;
-    sdispls[r] = (slen ? s0 - from.offset(me) : 0) * colbytes;
-    rdispls[r] = (rlen ? r0 - to.offset(me) : 0) * colbytes;
-  }
-  comm.alltoallv_bytes(reinterpret_cast<const unsigned char*>(in.data()), scounts.data(),
-                       sdispls.data(), reinterpret_cast<unsigned char*>(out.data()),
-                       rcounts.data(), rdispls.data());
-}
-
 // ---------------------------------------------------------------------------
 // TransposeOverlap (overlap.hpp): the split-phase path. Implemented here so
 // the overlap engine and the synchronous call share one set of phase
 // kernels — one mechanism, not two.
-
-bool comm_overlap_env_default() { return env::flag("PWDFT_COMM_OVERLAP", true); }
 
 struct TransposeOverlap::Pending {
   Plan plan;
@@ -219,27 +179,19 @@ struct TransposeOverlap::Pending {
   int np = 0, me = 0;
 };
 
-TransposeOverlap::TransposeOverlap(bool enabled) : enabled_(enabled) {}
+TransposeOverlap::TransposeOverlap() = default;
 
 TransposeOverlap::~TransposeOverlap() = default;  // lane_ joins first
 
 void TransposeOverlap::start_band_to_g(const WavefunctionTranspose& t, Comm& comm,
                                        const CMatrix& band_local, CMatrix& g_out,
                                        bool single_precision) {
-  if (!enabled_) {
-    t.band_to_g(comm, band_local, g_out, single_precision);
-    return;
-  }
   start(t, comm, band_local, g_out, true, single_precision);
 }
 
 void TransposeOverlap::start_g_to_band(const WavefunctionTranspose& t, Comm& comm,
                                        const CMatrix& g_local, CMatrix& band_out,
                                        bool single_precision) {
-  if (!enabled_) {
-    t.g_to_band(comm, g_local, band_out, single_precision);
-    return;
-  }
   start(t, comm, g_local, band_out, false, single_precision);
 }
 

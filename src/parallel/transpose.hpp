@@ -47,14 +47,4 @@ class WavefunctionTranspose {
   BlockPartition bands_;
 };
 
-/// Moves a column-distributed matrix (full rows on every rank) from the
-/// contiguous column partition `from` to `to` with one Alltoallv straight
-/// out of / into the matrix storage (contiguous partitions make the
-/// per-peer column ranges contiguous, so there is no pack/unpack phase).
-/// Collective on comm; from/to must have comm.size() parts and equal
-/// totals. Resizes `out` to (in.rows() x to.count(rank)). The carrier of
-/// the Fock dynamic band rebalance; always double precision on the wire.
-void redistribute_columns(Comm& comm, const CostPartition& from, const CostPartition& to,
-                          const CMatrix& in, CMatrix& out);
-
 }  // namespace pwdft::par

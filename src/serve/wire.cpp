@@ -159,7 +159,6 @@ void put_spec(PutBuf& out, const JobSpec& spec) {
   out.u64(spec.ptcn.anderson_depth);
   out.f64(spec.ptcn.anderson_beta);
   out.boolean(spec.ptcn.sp_comm);
-  out.boolean(spec.ptcn.overlap_transpose);
   out.i32(spec.ptcn.mts_interval);
   out.f64(spec.ptcn.mts_drift_tol);
 }
@@ -203,7 +202,6 @@ bool get_spec(GetBuf& in, JobSpec* spec) {
   s.ptcn.anderson_depth = in.u64();
   s.ptcn.anderson_beta = in.f64();
   s.ptcn.sp_comm = in.boolean();
-  s.ptcn.overlap_transpose = in.boolean();
   s.ptcn.mts_interval = in.i32();
   s.ptcn.mts_drift_tol = in.f64();
   if (!in.ok()) return false;

@@ -37,7 +37,7 @@ namespace pwdft::serve::wire {
 
 /// Bumped on any incompatible frame or payload-layout change. A receiver
 /// rejects foreign versions with kVersionMismatch instead of guessing.
-constexpr std::uint32_t kProtocolVersion = 1;
+constexpr std::uint32_t kProtocolVersion = 2;
 
 /// Default cap on a declared payload length: a corrupt or hostile length
 /// field must produce a typed error, not a giant allocation.

@@ -80,9 +80,7 @@ PtCnPropagator::PtCnPropagator(ham::Hamiltonian& hamiltonian, par::BlockPartitio
     : ham_(hamiltonian),
       bands_(bands),
       opt_(opt),
-      transpose_(par::BlockPartition(hamiltonian.setup().n_g(), comm_size), bands),
-      psi_ovl_(opt.overlap_transpose),
-      half_ovl_(opt.overlap_transpose) {
+      transpose_(par::BlockPartition(hamiltonian.setup().n_g(), comm_size), bands) {
   PWDFT_CHECK(opt_.dt > 0.0, "PtCnPropagator: dt must be positive");
 }
 

@@ -33,16 +33,6 @@ struct PtCnOptions {
   std::size_t anderson_depth = 20;  ///< paper §3.4
   double anderson_beta = 1.0;
   bool sp_comm = true;           ///< single-precision Alltoallv payloads (§3.3)
-  /// Overlaps the propagator's loop transposes with compute through
-  /// par::TransposeOverlap (paper §3.2 step 5 applied to Alg. 3): the
-  /// Psi -> G transpose of each residual evaluation rides behind H Psi (the
-  /// Fock band loop), and the loop-invariant Psi_half transpose rides
-  /// behind the density build. Each stream packs up front, parks its
-  /// exchange on the exec engine's async lane against its own dup()'ed
-  /// communicator, and unpacks at wait() — bit-identical to the serialized
-  /// path (overlap.hpp). Defaults to the PWDFT_COMM_OVERLAP resolution
-  /// (overlap on).
-  bool overlap_transpose = par::comm_overlap_env_default();
   /// Multiple time stepping of the exchange operator (td/mts.hpp). 0
   /// (default, the PWDFT_MTS_INTERVAL resolution) = off: exchange orbitals
   /// are re-registered from Psi_f every inner SCF iteration. k >= 1

@@ -1,11 +1,12 @@
 // Proves the band-parallel determinism contract (docs/threading.md): the
 // Fock apply, the density accumulation, the Hamiltonian apply, LOBPCG, and a
-// full PT-CN step are bit-identical at 1/2/4 engine threads, and the
-// overlapped transpose path of the PT-CN propagator produces exactly the
-// same orbitals as the serialized one.
+// full PT-CN step are bit-identical at 1/2/4 engine threads, and a transpose
+// in flight during a Fock apply leaves both results byte-identical to their
+// synchronous forms.
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <mutex>
 #include <vector>
 
@@ -13,6 +14,7 @@
 #include "ham/density.hpp"
 #include "ham/fock.hpp"
 #include "ham/hamiltonian.hpp"
+#include "parallel/overlap.hpp"
 #include "parallel/thread_comm.hpp"
 #include "scf/lobpcg.hpp"
 #include "td/field.hpp"
@@ -397,54 +399,66 @@ TEST(BandParallel, FockPipelineModesBitIdenticalAcrossWidth) {
   }
 }
 
-TEST(BandParallel, OverlappedTransposeMatchesSerializedPath) {
-  // Two thread-backed ranks, engine at 4 threads, Fock broadcast prefetch
-  // AND the async-lane transposes all in flight: the overlapped step must
-  // be bit-identical to the serialized one on every rank.
+TEST(BandParallel, TransposeInFlightDuringFockApplyIsBitwise) {
+  // The PT-CN overlap pattern (ptcn.cpp): a transpose's exchange is parked
+  // on the async lane against its dup()'ed communicator while the Fock apply
+  // prefetches its window broadcasts on the same lane over the parent. Two
+  // thread-backed ranks, engine at 4 threads: the transposed blocks must
+  // equal the synchronous transposes, and the Fock result an apply with
+  // nothing in flight, byte for byte.
   ThreadGuard guard;
   exec::set_num_threads(4);
   const int np = 2;
   const std::size_t nb = 8;
   auto setup = test::make_si8_setup(3.0, 1);
-  CMatrix psi_init = test::random_orthonormal(setup, nb, 53);
+  CMatrix phi = test::random_orthonormal(setup, nb, 53);
+  CMatrix x = test::random_orthonormal(setup, nb, 59);
   std::vector<double> occ(nb, 2.0);
-  td::DeltaKick kick({0.0, 0.0, 0.02}, -1.0);
-
-  td::PtCnOptions opt;
-  opt.dt = 1.0;
-  opt.rho_tol = 1e-8;
-  opt.max_scf = 6;
-
-  auto run = [&](bool overlap) {
-    std::vector<CMatrix> per_rank(np);
-    par::ThreadGroup::run(np, [&](par::Comm& c) {
-      auto setup_loc = test::make_si8_setup(3.0, 1);
-      auto species = pseudo::PseudoSpecies::silicon(true);
-      auto options = test::fast_hybrid_options();
-      options.fock.overlap = true;  // broadcast prefetch on the async lane
-      ham::Hamiltonian h(setup_loc, species, options);
-      par::BlockPartition bands(nb, np);
-      CMatrix psi_loc = test::band_slice(psi_init, bands, c.rank());
-      td::PtCnOptions o = opt;
-      o.overlap_transpose = overlap;
-      td::PtCnPropagator prop(h, bands, o, np);
-      prop.step(psi_loc, occ, 0.0, kick, c);
-      per_rank[c.rank()] = std::move(psi_loc);
-    });
-    return per_rank;
+  auto same_bytes = [](const CMatrix& a, const CMatrix& b) {
+    return a.rows() == b.rows() && a.cols() == b.cols() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(Complex)) == 0;
   };
 
-  auto serialized = run(false);
-  auto overlapped = run(true);
-  for (int r = 0; r < np; ++r)
-    EXPECT_EQ(test::max_abs_diff(overlapped[r], serialized[r]), 0.0) << "rank " << r;
+  for (bool sp : {false, true}) {
+    par::ThreadGroup::run(np, [&](par::Comm& c) {
+      auto setup_loc = test::make_si8_setup(3.0, 1);
+      par::BlockPartition bands(nb, np);
+      par::WavefunctionTranspose tr(par::BlockPartition(setup_loc.n_g(), np), bands);
+      ham::FockOptions fopt;
+      fopt.band_window = 2;  // several windows, so several prefetches
+      ham::FockOperator fock(setup_loc, xc::HybridParams{true, 0.25, 0.11}, fopt);
+      fock.set_orbitals(test::band_slice(phi, bands, c.rank()), occ, bands, c);
+      const CMatrix x_loc = test::band_slice(x, bands, c.rank());
+
+      CMatrix y_ref(setup_loc.n_g(), x_loc.cols(), Complex{0, 0});
+      fock.apply_add(x_loc, y_ref, c);
+      CMatrix g_ref, band_ref;
+      tr.band_to_g(c, x_loc, g_ref, sp);
+      tr.g_to_band(c, g_ref, band_ref, sp);
+
+      par::TransposeOverlap ovl;
+      CMatrix g, y(setup_loc.n_g(), x_loc.cols(), Complex{0, 0});
+      ovl.start_band_to_g(tr, c, x_loc, g, sp);
+      fock.apply_add(x_loc, y, c);
+      ovl.wait();
+      EXPECT_TRUE(same_bytes(g, g_ref)) << "band_to_g rank " << c.rank() << " sp=" << sp;
+      EXPECT_TRUE(same_bytes(y, y_ref)) << "Fock rank " << c.rank() << " sp=" << sp;
+
+      CMatrix band, y2(setup_loc.n_g(), x_loc.cols(), Complex{0, 0});
+      ovl.start_g_to_band(tr, c, g_ref, band, sp);
+      fock.apply_add(x_loc, y2, c);
+      ovl.wait();
+      EXPECT_TRUE(same_bytes(band, band_ref)) << "g_to_band rank " << c.rank() << " sp=" << sp;
+      EXPECT_TRUE(same_bytes(y2, y_ref)) << "Fock rank " << c.rank() << " sp=" << sp;
+    });
+  }
 }
 
-TEST(BandParallel, OverlapModeBitIdenticalAcrossThreadCounts) {
-  // Overlap {off, on} × engine widths {1, 2, 4} on two thread-backed ranks:
-  // all six PT-CN runs must produce the same bytes. The overlap knob only
-  // moves the exchange onto the async lane; pack/unpack stay engine-ordered
-  // and the arithmetic never changes.
+TEST(BandParallel, PtCnStepTwoRanksBitIdenticalAcrossThreadCounts) {
+  // Engine widths {1, 2, 4} on two thread-backed ranks: all three PT-CN
+  // runs must produce the same bytes. The overlapped transposes only move
+  // their exchange onto the async lane; pack/unpack stay engine-ordered and
+  // the arithmetic never changes.
   ThreadGuard guard;
   const int np = 2;
   const std::size_t nb = 8;
@@ -459,70 +473,24 @@ TEST(BandParallel, OverlapModeBitIdenticalAcrossThreadCounts) {
   opt.max_scf = 5;
 
   std::vector<CMatrix> ref(np);
-  for (bool overlap : {false, true}) {
-    for (std::size_t nt : kThreadCounts) {
-      exec::set_num_threads(nt);
-      std::vector<CMatrix> per_rank(np);
-      par::ThreadGroup::run(np, [&](par::Comm& c) {
-        auto setup_loc = test::make_si8_setup(3.0, 1);
-        auto species = pseudo::PseudoSpecies::silicon(true);
-        ham::Hamiltonian h(setup_loc, species, test::fast_hybrid_options());
-        par::BlockPartition bands(nb, np);
-        CMatrix psi_loc = test::band_slice(psi_init, bands, c.rank());
-        td::PtCnOptions o = opt;
-        o.overlap_transpose = overlap;
-        td::PtCnPropagator prop(h, bands, o, np);
-        prop.step(psi_loc, occ, 0.0, kick, c);
-        per_rank[c.rank()] = std::move(psi_loc);
-      });
-      if (ref[0].size() == 0) {
-        ref = std::move(per_rank);
-      } else {
-        for (int r = 0; r < np; ++r)
-          EXPECT_EQ(test::max_abs_diff(per_rank[r], ref[r]), 0.0)
-              << "rank " << r << " nt=" << nt << " overlap=" << overlap;
-      }
-    }
-  }
-}
-
-TEST(BandParallel, FockRebalanceBitIdenticalAcrossThreadCounts) {
-  // Dynamic band rebalance {off, on-with-forced-skew} × widths {1, 2, 4} on
-  // two ranks: the shuffled solve must reproduce the static layout byte for
-  // byte at every engine width.
-  ThreadGuard guard;
-  const int np = 2;
-  const std::size_t nb = 6;
-  auto setup = test::make_si8_setup(3.0, 1);
-  CMatrix phi = test::random_orthonormal(setup, nb, 89);
-  CMatrix x = test::random_orthonormal(setup, nb, 97);
-  std::vector<double> occ(nb, 2.0);
-
-  std::vector<CMatrix> ref(np);
-  for (bool rebalance : {false, true}) {
-    for (std::size_t nt : kThreadCounts) {
-      exec::set_num_threads(nt);
-      std::vector<CMatrix> per_rank(np);
-      par::ThreadGroup::run(np, [&](par::Comm& c) {
-        auto setup_loc = test::make_si8_setup(3.0, 1);
-        par::BlockPartition bands(nb, np);
-        ham::FockOptions fopt;
-        fopt.band_rebalance = rebalance;
-        ham::FockOperator fock(setup_loc, xc::HybridParams{true, 0.25, 0.11}, fopt);
-        fock.set_orbitals(test::band_slice(phi, bands, c.rank()), occ, bands, c);
-        if (rebalance) fock.debug_set_rank_cost({5.0, 1.0});
-        CMatrix x_loc = test::band_slice(x, bands, c.rank());
-        CMatrix y(setup_loc.n_g(), x_loc.cols(), Complex{0, 0});
-        fock.apply_add(x_loc, y, c);
-        per_rank[c.rank()] = std::move(y);
-      });
-      if (ref[0].size() == 0) {
-        ref = std::move(per_rank);
-      } else {
-        for (int r = 0; r < np; ++r)
-          EXPECT_EQ(test::max_abs_diff(per_rank[r], ref[r]), 0.0)
-              << "rank " << r << " nt=" << nt << " rebalance=" << rebalance;
-      }
+  for (std::size_t nt : kThreadCounts) {
+    exec::set_num_threads(nt);
+    std::vector<CMatrix> per_rank(np);
+    par::ThreadGroup::run(np, [&](par::Comm& c) {
+      auto setup_loc = test::make_si8_setup(3.0, 1);
+      auto species = pseudo::PseudoSpecies::silicon(true);
+      ham::Hamiltonian h(setup_loc, species, test::fast_hybrid_options());
+      par::BlockPartition bands(nb, np);
+      CMatrix psi_loc = test::band_slice(psi_init, bands, c.rank());
+      td::PtCnPropagator prop(h, bands, opt, np);
+      prop.step(psi_loc, occ, 0.0, kick, c);
+      per_rank[c.rank()] = std::move(psi_loc);
+    });
+    if (ref[0].size() == 0) {
+      ref = std::move(per_rank);
+    } else {
+      for (int r = 0; r < np; ++r)
+        EXPECT_EQ(test::max_abs_diff(per_rank[r], ref[r]), 0.0) << "rank " << r << " nt=" << nt;
     }
   }
 }

@@ -12,7 +12,6 @@
 #include "common/timer.hpp"
 #include "common/types.hpp"
 #include "ham/ace.hpp"
-#include "ham/fock.hpp"
 #include "td/mts.hpp"
 
 namespace pwdft {
@@ -196,10 +195,6 @@ TEST(Env, KnobResolversUseStrictParsing) {
   setenv("PWDFT_ACE_REFRESH", "0", 1);
   EXPECT_THROW(ham::ace_refresh_env_default(), Error);
   unsetenv("PWDFT_ACE_REFRESH");
-
-  setenv("PWDFT_BAND_REBALANCE", "TRUE", 1);
-  EXPECT_TRUE(ham::band_rebalance_env_default());
-  unsetenv("PWDFT_BAND_REBALANCE");
 }
 
 }  // namespace

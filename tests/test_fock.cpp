@@ -161,26 +161,6 @@ TEST(Fock, BatchedMatchesBandByBand) {
   EXPECT_LT(test::max_abs_diff(yb, ys), 1e-13);
 }
 
-TEST(Fock, OverlapOptionIsNumericallyIdentical) {
-  auto setup = test::make_si8_setup(4.0, 1);
-  auto phi = test::random_orthonormal(setup, 4, 17);
-  auto x = test::random_orthonormal(setup, 4, 19);
-  std::vector<double> occ(4, 2.0);
-  par::SerialComm comm;
-  par::BlockPartition bands(4, 1);
-
-  ham::FockOptions with_overlap;
-  with_overlap.overlap = true;
-  ham::FockOperator fo(setup, hse(), with_overlap);
-  ham::FockOperator fn(setup, hse());
-  fo.set_orbitals(phi, occ, bands, comm);
-  fn.set_orbitals(phi, occ, bands, comm);
-  CMatrix yo(setup.n_g(), 4, Complex{0, 0}), yn(setup.n_g(), 4, Complex{0, 0});
-  fo.apply_add(x, yo, comm);
-  fn.apply_add(x, yn, comm);
-  EXPECT_LT(test::max_abs_diff(yo, yn), 1e-14);
-}
-
 TEST(Fock, ZeroOccupationOrbitalsDoNotContribute) {
   auto setup = test::make_si8_setup(4.0, 1);
   auto phi = test::random_orthonormal(setup, 6, 21);

@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <numeric>
 
 #include "common/exec.hpp"
@@ -406,106 +405,6 @@ TEST(Transpose, AlltoallvVolumeMatchesFormula) {
   }
 }
 
-TEST(CostPartition, IdentityMatchesBlockPartition) {
-  BlockPartition b(11, 3);
-  par::CostPartition p(b);
-  EXPECT_EQ(p.total(), b.total());
-  EXPECT_EQ(p.parts(), b.parts());
-  for (int r = 0; r < 3; ++r) {
-    EXPECT_EQ(p.count(r), b.count(r));
-    EXPECT_EQ(p.offset(r), b.offset(r));
-  }
-  for (std::size_t j = 0; j < 11; ++j) EXPECT_EQ(p.owner(j), b.owner(j));
-  EXPECT_TRUE(p == par::CostPartition(b));
-}
-
-TEST(CostPartition, BalanceEvensSkewedCosts) {
-  // One expensive item: balance must isolate it and spread the rest.
-  std::vector<double> costs{8, 1, 1, 1, 1, 1, 1, 1};
-  auto p = par::CostPartition::balance(costs, 4);
-  auto load = [&](int part) {
-    double s = 0.0;
-    for (std::size_t j = p.offset(part); j < p.offset(part) + p.count(part); ++j) s += costs[j];
-    return s;
-  };
-  // Contiguous, ordered, complete, non-empty.
-  std::size_t covered = 0;
-  double max_load = 0.0;
-  for (int part = 0; part < 4; ++part) {
-    EXPECT_GT(p.count(part), 0u);
-    EXPECT_EQ(p.offset(part), covered);
-    covered += p.count(part);
-    max_load = std::max(max_load, load(part));
-  }
-  EXPECT_EQ(covered, costs.size());
-  // Uniform split puts {8,1} on part 0 (load 9); balance can't beat the
-  // single 8-cost item but must not exceed it.
-  EXPECT_DOUBLE_EQ(max_load, 8.0);
-}
-
-TEST(CostPartition, BalanceUniformCostsIsUniform) {
-  std::vector<double> costs(12, 1.0);
-  auto p = par::CostPartition::balance(costs, 4);
-  for (int part = 0; part < 4; ++part) EXPECT_EQ(p.count(part), 3u);
-}
-
-TEST(CostPartition, BalanceFallsBackOnDegenerateCosts) {
-  std::vector<double> zeros(6, 0.0);
-  auto p = par::CostPartition::balance(zeros, 3);
-  EXPECT_TRUE(p == par::CostPartition(BlockPartition(6, 3)));
-}
-
-TEST(CostPartition, OwnerIsConsistentWithOffsets) {
-  Rng rng(17);
-  std::vector<double> costs(23);
-  for (auto& x : costs) x = rng.uniform(0.1, 4.0);
-  auto p = par::CostPartition::balance(costs, 5);
-  for (std::size_t j = 0; j < costs.size(); ++j) {
-    const int owner = p.owner(j);
-    EXPECT_GE(j, p.offset(owner));
-    EXPECT_LT(j, p.offset(owner) + p.count(owner));
-  }
-}
-
-TEST(Redistribute, ColumnsRoundTripBitwise) {
-  const int np = 3;
-  const std::size_t rows = 5, nb = 7;
-  CMatrix full(rows, nb);
-  Rng rng(23);
-  for (std::size_t i = 0; i < full.size(); ++i) full.data()[i] = rng.complex_normal();
-  // Skewed target layout: counts {1, 2, 4}.
-  std::vector<double> costs{5, 1, 1, 1, 1, 1, 1};
-  const par::CostPartition from{BlockPartition(nb, np)};
-  const auto to = par::CostPartition::balance(costs, np);
-  ThreadGroup::run(np, [&](Comm& c) {
-    CMatrix mine(rows, from.count(c.rank()));
-    for (std::size_t j = 0; j < mine.cols(); ++j)
-      for (std::size_t i = 0; i < rows; ++i)
-        mine(i, j) = full(i, from.offset(c.rank()) + j);
-    CMatrix shuffled, back;
-    par::redistribute_columns(c, from, to, mine, shuffled);
-    ASSERT_EQ(shuffled.cols(), to.count(c.rank()));
-    for (std::size_t j = 0; j < shuffled.cols(); ++j)
-      for (std::size_t i = 0; i < rows; ++i)
-        EXPECT_EQ(shuffled(i, j), full(i, to.offset(c.rank()) + j));
-    par::redistribute_columns(c, to, from, shuffled, back);
-    ASSERT_EQ(back.cols(), mine.cols());
-    for (std::size_t i = 0; i < back.size(); ++i) EXPECT_EQ(back.data()[i], mine.data()[i]);
-  });
-}
-
-TEST(Overlap, EnvDefaultParsesKnob) {
-  unsetenv("PWDFT_COMM_OVERLAP");
-  EXPECT_TRUE(par::comm_overlap_env_default());
-  setenv("PWDFT_COMM_OVERLAP", "0", 1);
-  EXPECT_FALSE(par::comm_overlap_env_default());
-  setenv("PWDFT_COMM_OVERLAP", "off", 1);
-  EXPECT_FALSE(par::comm_overlap_env_default());
-  setenv("PWDFT_COMM_OVERLAP", "1", 1);
-  EXPECT_TRUE(par::comm_overlap_env_default());
-  unsetenv("PWDFT_COMM_OVERLAP");
-}
-
 TEST(Overlap, AsyncTransposeMatchesSynchronousBitwise) {
   // The packed-now / parked-exchange / unpack-at-wait path must produce the
   // identical bits as the synchronous transpose, in both directions, while
@@ -524,7 +423,7 @@ TEST(Overlap, AsyncTransposeMatchesSynchronousBitwise) {
       CMatrix g_sync;
       tr.band_to_g(c, band_local, g_sync, sp);
 
-      par::TransposeOverlap ovl(true);
+      par::TransposeOverlap ovl;
       CMatrix g_async;
       ovl.start_band_to_g(tr, c, band_local, g_async, sp);
       // Keep the parent comm busy while the exchange is in flight.
@@ -545,14 +444,6 @@ TEST(Overlap, AsyncTransposeMatchesSynchronousBitwise) {
       ovl.wait();
       for (std::size_t i = 0; i < band_sync.size(); ++i)
         EXPECT_EQ(band_async.data()[i], band_sync.data()[i]);
-
-      // Disabled instance falls back to the synchronous path.
-      par::TransposeOverlap off(false);
-      CMatrix g_off;
-      off.start_band_to_g(tr, c, band_local, g_off, sp);
-      off.wait();
-      for (std::size_t i = 0; i < g_sync.size(); ++i)
-        EXPECT_EQ(g_off.data()[i], g_sync.data()[i]);
     });
   }
 }
@@ -576,7 +467,7 @@ TEST(Overlap, TwoStreamsInFlightConcurrently) {
     tr.band_to_g(c, a_local, a_ref, false);
     tr.band_to_g(c, b_local, b_ref, false);
 
-    par::TransposeOverlap s1(true), s2(true);
+    par::TransposeOverlap s1, s2;
     CMatrix a_g, b_g;
     s1.start_band_to_g(tr, c, a_local, a_g, false);
     s2.start_band_to_g(tr, c, b_local, b_g, false);

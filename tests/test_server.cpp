@@ -131,10 +131,16 @@ TEST(WireProtocol, EveryTruncationAndByteFlipIsRejectedTyped) {
   bad[0] = 'X';  // magic
   EXPECT_EQ(serve::wire::decode_frame(bad.data(), bad.size(), &frame),
             serve::ErrorCode::kBadFrame);
-  bad = bytes;
-  bad[7] = '0' + serve::wire::kProtocolVersion + 1;  // version byte
-  EXPECT_EQ(serve::wire::decode_frame(bad.data(), bad.size(), &frame),
-            serve::ErrorCode::kVersionMismatch);
+  // Version byte: the next version, and the previous one (a client or a
+  // .spec.ckpt of the last payload layout).
+  for (const std::uint32_t v :
+       {serve::wire::kProtocolVersion + 1, serve::wire::kProtocolVersion - 1}) {
+    bad = bytes;
+    bad[7] = static_cast<std::uint8_t>('0' + v);
+    EXPECT_EQ(serve::wire::decode_frame(bad.data(), bad.size(), &frame),
+              serve::ErrorCode::kVersionMismatch)
+        << "version " << v;
+  }
   bad = bytes;
   bad[bad.size() - 1] ^= 1;  // checksum
   EXPECT_EQ(serve::wire::decode_frame(bad.data(), bad.size(), &frame),
