@@ -73,7 +73,9 @@ void BM_Fft3D(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * fft.size());
 }
-BENCHMARK(BM_Fft3D)->Arg(15)->Arg(30);
+// 9³ is the physics golden's grid (Si8 at Ecut 3), 12³ every perfbench
+// workload's (Ecut 5 and 6), 15³ Si8 at the paper's Ecut 10.
+BENCHMARK(BM_Fft3D)->Arg(9)->Arg(12)->Arg(15)->Arg(30);
 
 void BM_Fft3DBatched(benchmark::State& state) {
   // Batched submission (one plan, contiguous batch) vs the loop in
@@ -94,10 +96,11 @@ void BM_Fft3DBatched(benchmark::State& state) {
 BENCHMARK(BM_Fft3DBatched)->Arg(1)->Arg(8);
 
 void BM_Fft3DBatchedThreaded(benchmark::State& state) {
-  // The execution-engine sweep: threads x batch on the Si8 wavefunction
-  // grid. Arg(0) = engine width (1 reproduces the serial seed path, the
-  // batch loop then runs inline), Arg(1) = batch size. Compare rows at
-  // equal batch to read off the threading speedup.
+  // The execution-engine sweep: threads x batch on 15³, the Si8
+  // wavefunction grid at the paper's Ecut 10 (BM_Fft3D lists the grids
+  // the code's workloads run on). Arg(0) = engine width (1 reproduces the
+  // serial seed path, the batch loop then runs inline), Arg(1) = batch
+  // size. Compare rows at equal batch to read off the threading speedup.
   const std::size_t threads = state.range(0);
   const std::size_t nb = state.range(1);
   exec::set_num_threads(threads);

@@ -394,7 +394,8 @@ inline bool prefer_line_split(std::size_t outer_tasks) {
 /// independent monotonically-growing buffer; two routines may only share a
 /// slot if their lifetimes never overlap on one thread.
 enum class Slot : std::size_t {
-  // fft: per-line scratch used inside Fft3D axis passes (leaf level).
+  // fft: scratch and work of one FftPlan1D::execute_lines run inside
+  // Fft3D axis passes (16 lines x line length each).
   fft_line,
   fft_work,
   // grid/ham: dense- and wfc-grid scratch.

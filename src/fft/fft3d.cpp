@@ -54,6 +54,12 @@ constexpr std::size_t kMaxNodesPerPass = 32;
 /// Hamiltonian apply — has 6); the replay state array is stack-sized to it.
 constexpr std::size_t kMaxPipelineStages = 8;
 
+/// Lines per FftPlan1D::execute_lines run in run_lines. A fixed constant,
+/// not derived from the engine width or the grid: a line's bits never
+/// depend on its run, so where runs are cut only changes the speed. A run's
+/// work and scratch (2 x 16 lines) stay in L1 for lines up to ~60 points.
+constexpr std::size_t kRunLines = 16;
+
 }  // namespace
 
 /// One cached replay shape: the per-stage key fields plus owned copies of
@@ -111,16 +117,24 @@ std::shared_ptr<Fft3D> shared_engine(std::array<std::size_t, 3> dims) {
 void Fft3D::run_lines(Complex* data, int axis, int sign, const std::uint32_t* lines,
                       std::size_t li0, std::size_t li1, std::size_t batch) const {
   const std::size_t n0 = dims_[0], n1 = dims_[1];
-  const std::size_t grid = size();
   const FftPlan1D& plan = axis == 0 ? plan_x_ : axis == 1 ? plan_y_ : plan_z_;
-  const std::size_t len = dims_[axis];
   const std::size_t stride = axis == 0 ? 1 : axis == 1 ? n0 : n0 * n1;
+  // Adjacent line ids are n0 apart on axis 0 (l = y + n1*z) and adjacent
+  // in memory on axes 1 (l = x + n0*z, within one z-plane) and 2
+  // (l = x + n0*y).
+  const std::size_t dist = axis == 0 ? n0 : 1;
   auto& ws = exec::workspace();
-  Complex* line_out = ws.cbuf(exec::Slot::fft_line, len).data();
-  Complex* work = ws.cbuf(exec::Slot::fft_work, len).data();
-  Complex* gbase = data + batch * grid;
-  for (std::size_t li = li0; li < li1; ++li) {
+  Complex* scratch = ws.cbuf(exec::Slot::fft_line, plan.workspace_size(kRunLines)).data();
+  Complex* work = ws.cbuf(exec::Slot::fft_work, plan.workspace_size(kRunLines)).data();
+  Complex* gbase = data + batch * size();
+  for (std::size_t li = li0; li < li1;) {
     const std::size_t l = lines ? lines[li] : li;
+    // A run is up to kRunLines consecutive line ids; on axis 1 it ends at
+    // the z-plane, where the next id jumps in memory.
+    std::size_t cap = std::min(kRunLines, li1 - li);
+    if (axis == 1) cap = std::min(cap, n0 - l % n0);
+    std::size_t count = 1;
+    while (count < cap && (!lines || lines[li + count] == l + count)) ++count;
     Complex* base;
     if (axis == 0) {
       base = gbase + l * n0;  // l = y + n1*z
@@ -130,8 +144,8 @@ void Fft3D::run_lines(Complex* data, int axis, int sign, const std::uint32_t* li
     } else {
       base = gbase + l;  // l = x + n0*y
     }
-    plan.execute(base, stride, line_out, work, sign);
-    for (std::size_t k = 0; k < len; ++k) base[k * stride] = line_out[k];
+    plan.execute_lines(base, stride, dist, count, base, stride, dist, work, scratch, sign);
+    li += count;
   }
 }
 

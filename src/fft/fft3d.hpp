@@ -34,8 +34,8 @@
 /// costs one pool wake instead of one per stage.
 ///
 /// The engine is stateless apart from the internal graph cache (guarded by
-/// a mutex; replay itself is lock-free): per-line scratch comes from the
-/// calling thread's workspace arena (FftPlan1D::execute is documented
+/// a mutex; replay itself is lock-free): per-run work and scratch come from
+/// the calling thread's workspace arena (FftPlan1D::execute_lines is
 /// thread-safe), so one Fft3D instance may be used concurrently from any
 /// number of threads (e.g. several ThreadComm ranks) and all transform
 /// methods are const.
@@ -43,7 +43,10 @@
 /// Determinism: every 1-D line is computed by exactly one thread running the
 /// identical serial kernel (Fft3D::run_lines, shared by the replay and the
 /// cache-full fallback), so results are bit-identical to the serial loop at
-/// any thread count.
+/// any thread count. run_lines hands FftPlan1D::execute_lines runs of up to
+/// 16 adjacent lines of its range, which the kernel writes in place in the
+/// grid. A line's bits never depend on its run, so the replay's graph nodes
+/// and the fallback's parallel_for grains may cut runs at different places.
 ///
 /// Grid layout: linear index i = x + n0*(y + n1*z), x fastest.
 
@@ -219,7 +222,8 @@ class Fft3D {
   struct CachedGraph;
 
   /// The serial kernel of every pass node and of run_stages: transforms
-  /// lines [li0, li1) of `axis` for batch member `batch`.
+  /// lines [li0, li1) of `axis` for batch member `batch`, in place, as runs
+  /// of up to 16 consecutive line ids (an axis-1 run ends at a z-plane).
   void run_lines(Complex* data, int axis, int sign, const std::uint32_t* lines,
                  std::size_t li0, std::size_t li1, std::size_t batch) const;
   /// One axis pass over all batch members as one parallel_for (run_stages).

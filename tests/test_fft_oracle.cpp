@@ -9,6 +9,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <utility>
 #include <vector>
 
 #include "common/random.hpp"
@@ -129,6 +131,53 @@ TEST(FftOracle, StridedInputMatchesContiguous) {
   }
 }
 
+/// A line's bits never depend on its run: every line of an execute_lines
+/// run is byte-equal to execute() of that line alone, for run lengths up to
+/// Fft3D's 16, in a gapped-contiguous and an interleaved layout, out of
+/// place and in place. Graph nodes (replay) and parallel_for grains (the
+/// cache-full fallback) cut runs at different places, so the any-width
+/// contract rests on this. Elements outside the lines stay untouched.
+TEST(FftOracle, LineRunsMatchSingleLinesBitwise) {
+  const Complex kFill{99.0, -99.0};
+  for (const std::size_t n : kSizes) {
+    FftPlan1D plan(n);
+    for (const std::size_t count : {1ul, 2ul, 3ul, 16ul}) {
+      std::vector<Complex> work(plan.workspace_size(count)), scratch(plan.workspace_size(count));
+      // {stride, dist}: lines contiguous with a gap of 3 between them, and
+      // lines interleaved element by element with 2 unused slots per row.
+      for (const auto& [stride, dist] : {std::pair{1ul, n + 3}, std::pair{count + 2, 1ul}}) {
+        const std::size_t span = (n - 1) * stride + (count - 1) * dist + 1;
+        std::vector<char> on_line(span, 0);
+        for (std::size_t v = 0; v < count; ++v)
+          for (std::size_t m = 0; m < n; ++m) on_line[m * stride + v * dist] = 1;
+        auto x = random_vec(span, 7000 * n + 100 * count + stride);
+        for (std::size_t i = 0; i < span; ++i)
+          if (!on_line[i]) x[i] = kFill;
+        for (const int sign : {-1, +1}) {
+          for (const bool in_place : {false, true}) {
+            auto buf = x;
+            std::vector<Complex> sep(span, kFill);
+            Complex* out = in_place ? buf.data() : sep.data();
+            plan.execute_lines(buf.data(), stride, dist, count, out, stride, dist, work.data(),
+                               scratch.data(), sign);
+            std::vector<Complex> got(n), ref(n), ref_work(n);
+            for (std::size_t v = 0; v < count; ++v) {
+              plan.execute(x.data() + v * dist, stride, ref.data(), ref_work.data(), sign);
+              for (std::size_t k = 0; k < n; ++k) got[k] = out[k * stride + v * dist];
+              ASSERT_EQ(0, std::memcmp(got.data(), ref.data(), n * sizeof(Complex)))
+                  << "n=" << n << " count=" << count << " stride=" << stride
+                  << " dist=" << dist << " sign=" << sign << " in_place=" << in_place
+                  << " line=" << v;
+            }
+            for (std::size_t i = 0; i < span; ++i)
+              if (!on_line[i]) ASSERT_EQ(out[i], kFill) << "n=" << n << " gap i=" << i;
+          }
+        }
+      }
+    }
+  }
+}
+
 /// Naive separable 3-D reference: a naive 1-D DFT along each axis in turn,
 /// sharing no code with FftPlan1D.
 std::vector<Complex> naive_dft3(const std::vector<Complex>& x,
@@ -181,43 +230,52 @@ TEST(FftOracle, Fft3DRoundTripAndParseval) {
 
 /// Randomized sphere masks for the partial-pass transforms: the fused path
 /// must be bit-identical to scatter + full FFT (inverse) and full FFT +
-/// gather (forward) for ANY support set, not just physical spheres.
+/// gather (forward) for ANY support set, not just physical spheres. The
+/// 20x6x5 grid has n0 > 16, so axis-1 and axis-2 line runs hit the run
+/// cap; the dense trial makes axis-1 runs end at z-planes and axis-0 and
+/// axis-2 runs cross rows and planes.
 TEST(MaskedPassOracle, FusedTransformsMatchFullTransformsOnRandomMasks) {
-  const std::array<std::size_t, 3> dims{10, 8, 6};
-  const std::size_t nw = dims[0] * dims[1] * dims[2];
-  Fft3D fft(dims);
-  Rng rng(2024);
-  for (int trial = 0; trial < 4; ++trial) {
-    // Random support: ~25% of the grid; trial 3 is the single-point edge.
-    std::vector<std::size_t> map;
-    if (trial == 3) {
-      map.push_back(nw - 1);
-    } else {
+  for (const auto& dims : {std::array<std::size_t, 3>{10, 8, 6},
+                           std::array<std::size_t, 3>{20, 6, 5}}) {
+    const std::size_t nw = dims[0] * dims[1] * dims[2];
+    Fft3D fft(dims);
+    Rng rng(2024);
+    for (int trial = 0; trial < 5; ++trial) {
+      // Random support: ~25% of the grid, ~90% in trial 4; trial 3 is the
+      // single-point edge.
+      std::vector<std::size_t> map;
+      if (trial == 3) {
+        map.push_back(nw - 1);
+      } else {
+        const double density = trial == 4 ? 0.9 : 0.25;
+        for (std::size_t i = 0; i < nw; ++i)
+          if (rng.uniform() < density) map.push_back(i);
+        if (map.empty()) map.push_back(0);
+      }
+      grid::SphereMap sm(map, dims);
+
+      // inverse: scatter + fused masked inverse == scatter + full inverse.
+      const auto coeffs = random_vec(map.size(), 555 + trial);
+      std::vector<Complex> fused(nw), full(nw);
+      grid::sphere_to_grid(fft, sm, coeffs, fused);
+      grid::GSphere::scatter(coeffs, sm.map, full);
+      fft.inverse(full.data());
       for (std::size_t i = 0; i < nw; ++i)
-        if (rng.uniform() < 0.25) map.push_back(i);
-      if (map.empty()) map.push_back(0);
+        ASSERT_EQ(fused[i], full[i]) << "dims[0]=" << dims[0] << " trial=" << trial
+                                     << " i=" << i;
+
+      // forward: fused masked forward + gather == full forward + gather.
+      const auto grid_data = random_vec(nw, 777 + trial);
+      auto scratch = grid_data;
+      std::vector<Complex> got(map.size()), want(map.size());
+      grid::grid_to_sphere(fft, sm, scratch, 1.0 / static_cast<double>(nw), got);
+      auto work = grid_data;
+      fft.forward(work.data());
+      grid::GSphere::gather(work, sm.map, 1.0 / static_cast<double>(nw), want);
+      for (std::size_t i = 0; i < map.size(); ++i)
+        ASSERT_EQ(got[i], want[i]) << "dims[0]=" << dims[0] << " trial=" << trial
+                                   << " i=" << i;
     }
-    grid::SphereMap sm(map, dims);
-
-    // inverse: scatter + fused masked inverse == scatter + full inverse.
-    const auto coeffs = random_vec(map.size(), 555 + trial);
-    std::vector<Complex> fused(nw), full(nw);
-    grid::sphere_to_grid(fft, sm, coeffs, fused);
-    grid::GSphere::scatter(coeffs, sm.map, full);
-    fft.inverse(full.data());
-    for (std::size_t i = 0; i < nw; ++i)
-      ASSERT_EQ(fused[i], full[i]) << "trial=" << trial << " i=" << i;
-
-    // forward: fused masked forward + gather == full forward + gather.
-    const auto grid_data = random_vec(nw, 777 + trial);
-    auto scratch = grid_data;
-    std::vector<Complex> got(map.size()), want(map.size());
-    grid::grid_to_sphere(fft, sm, scratch, 1.0 / static_cast<double>(nw), got);
-    auto work = grid_data;
-    fft.forward(work.data());
-    grid::GSphere::gather(work, sm.map, 1.0 / static_cast<double>(nw), want);
-    for (std::size_t i = 0; i < map.size(); ++i)
-      ASSERT_EQ(got[i], want[i]) << "trial=" << trial << " i=" << i;
   }
 }
 

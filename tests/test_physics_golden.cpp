@@ -7,12 +7,13 @@
 // instead of only showing up in the benches.
 //
 // Tolerances: the engine is bit-identical at any thread count
-// (docs/threading.md), so width never moves these numbers. The scalar and
-// SIMD radix kernels agree to final-bit rounding (exact butterfly leaves
-// vs table twiddles); through the converged SCF fixed points the measured
-// cross-kernel spread is ~1e-8 Ha on energies and ~3e-10 a.u. on currents,
-// an order or more inside the tolerances — which still catch any real
-// physics change (those move these digits at 1e-4 or more).
+// (docs/threading.md), so width never moves these numbers, and the one FFT
+// kernel gives every line the same bits however lines are grouped into
+// runs. An FFT that rounds differently in the last bit (table twiddles in
+// place of the exact butterfly leaves) moves energies by ~1e-8 Ha and
+// currents by ~3e-10 a.u. through the converged SCF fixed points, an order
+// or more inside the tolerances — which still catch any real physics
+// change (those move these digits at 1e-4 or more).
 //
 // Regenerate after an *intended* physics change with:
 //   PWDFT_GOLDEN_PRINT=1 ./build/test_physics_golden
@@ -57,8 +58,8 @@ core::PropagateOptions golden_propagation(const td::ExternalField& field) {
 }
 
 // ---- Frozen reference values (regeneration note above) ------------------
-// Generated 2026-07 with both kernels (scalar and SIMD agree to all printed
-// digits). Ground state: Si8, Ecut = 3 Ha, LDA phase + 3 hybrid outers.
+// Generated 2026-07. Ground state: Si8, Ecut = 3 Ha, LDA phase + 3 hybrid
+// outers.
 constexpr double kTotalEnergy = -30.5278743911242;  // Ha
 constexpr std::size_t kNumBands = 16;
 constexpr double kEigenvalues[kNumBands] = {
