@@ -3,7 +3,7 @@
 // (Lin 2016; Jia & Lin 2019 showed PT+ACE wins on CPUs, while the paper
 // finds direct PT alone is the better fit for Summit GPUs), plus ACE under
 // multiple time stepping (MTS: the exchange operator is frozen across
-// PWDFT_MTS_INTERVAL steps instead of rebuilt every step). All three paths
+// mts_interval steps instead of rebuilt every step). All three paths
 // run for real on Si8; we report wall time per PT-CN step and emit
 // bench_json.hpp records, including the derived `ace_speedup` and
 // `mts_speedup` ratios that BENCH_taskgraph.json tracks in CI:
@@ -124,7 +124,7 @@ int main(int argc, char** argv) {
       "PT+ACE finding -- while the paper's Summit GPUs invert the economics\n"
       "(section 1: \"the PT formulation alone leads to more efficient\n"
       "implementation\"), which is why both paths stay selectable via\n"
-      "PWDFT_ACE / PWDFT_MTS_INTERVAL.\n",
+      "SimulationOptions::use_ace / PtCnOptions::mts_interval.\n",
       ace_speedup, mts_speedup);
 
   if (!json_path.empty()) {

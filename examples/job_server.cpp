@@ -8,8 +8,9 @@
 //
 // Tenants with the same cell/cutoff share one PlanewaveSetup and (through
 // fft::shared_engine) the same warmed FFT graph caches. Checkpoints are the
-// crash-safe v2 format of io/checkpoint.hpp: atomic tmp+rename writes,
-// field-by-field versioned header, checksummed payload. Every engine call
+// crash-safe v3 frame files of io/checkpoint.hpp: durable writes (fsync,
+// rename, directory fsync), field-by-field versioned header, checksummed
+// payload. Every engine call
 // reports failures as typed serve::ErrorCode values — what a remote
 // serve::Client sees too (see examples/serve_server.cpp).
 

@@ -3,11 +3,12 @@
 /// \file env.hpp
 /// Strict parsing of PWDFT_* environment variables.
 ///
-/// The scheduling and algorithm knobs (docs/PERFORMANCE.md) are resolved
-/// from the environment at option-construction time. A malformed value must
-/// fail loudly: a typo (`PWDFT_MTS_INTERVAL=four`, `PWDFT_ACE=On`) that
-/// silently resolves to "off" or "default" runs the wrong configuration
-/// through an entire experiment. Every helper here therefore throws
+/// The deployment knobs (docs/PERFORMANCE.md: threads, ranks, addresses,
+/// timeouts, slots, paths, recovery) are resolved from the environment; no
+/// variable may change a result. A malformed value must fail loudly: a typo
+/// (`PWDFT_NUM_THREADS=four`, `PWDFT_SERVE_RECOVER=On!`) that silently
+/// resolves to "off" or "default" runs the wrong configuration through an
+/// entire experiment. Every helper here therefore throws
 /// pwdft::Error — naming the variable and the accepted forms — on anything
 /// it cannot parse exactly; an unset variable yields the caller's default.
 

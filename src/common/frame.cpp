@@ -256,6 +256,13 @@ Listener listen_on(const std::string& address) {
   return l;
 }
 
+void Listener::close() {
+  if (fd >= 0) ::close(fd);
+  if (!unix_path.empty()) ::unlink(unix_path.c_str());
+  fd = -1;
+  unix_path.clear();
+}
+
 int try_dial(const std::string& address, std::string* why) {
   const ParsedAddr a = parse_address(address);
   const int fd = ::socket(a.is_unix ? AF_UNIX : AF_INET, SOCK_STREAM, 0);

@@ -3,13 +3,14 @@
 /// \file frame.hpp
 /// Shared binary-frame codec and socket transport.
 ///
-/// Two subsystems speak length-prefixed, FNV-1a-checksummed frames over
-/// sockets: the serve front-end (src/serve/wire.cpp) and the multi-process
-/// communicator (src/parallel/socket_comm.cpp). Both use the identical
-/// layout, differing only in the magic prefix, protocol version, message
-/// type range, and payload cap — the `Protocol` descriptor below. Keeping
-/// the codec here means the two byte formats cannot drift: one encoder, one
-/// decoder, one checksum discipline.
+/// Every byte format of the program is a length-prefixed, FNV-1a-checksummed
+/// frame: the serve front-end (src/serve/wire.cpp) and the multi-process
+/// communicator (src/parallel/socket_comm.cpp) over sockets, and every
+/// persisted file (src/io/frame_file.hpp: checkpoints, spec snapshots) on
+/// disk. All use the identical layout, differing only in the magic prefix,
+/// protocol version, message type range, and payload cap — the `Protocol`
+/// descriptor below. Keeping the codec here means the byte formats cannot
+/// drift: one encoder, one decoder, one checksum discipline.
 ///
 /// Frame layout (all integers little-endian):
 ///
@@ -53,7 +54,7 @@ enum class IoStatus : int {
 
 const char* io_status_name(IoStatus s);
 
-/// Same FNV-1a-64 as io/checkpoint.cpp: one hashing discipline per repo.
+/// FNV-1a-64, the checksum of every frame on the wire and on disk.
 struct Fnv1a {
   std::uint64_t h = 1469598103934665603ull;
   void update(const void* p, std::size_t n) {
@@ -125,7 +126,9 @@ IoStatus recv_frame(int fd, const Protocol& proto, std::uint32_t* type,
 struct Listener {
   int fd = -1;
   std::string address;    ///< resolved form (ephemeral port filled in)
-  std::string unix_path;  ///< non-empty for unix sockets; caller unlinks
+  std::string unix_path;  ///< non-empty for unix sockets; close() unlinks it
+  /// Closes the fd and unlinks the unix socket file. Idempotent.
+  void close();
 };
 
 /// Binds + listens; throws pwdft::Error on an unparseable address or a

@@ -28,11 +28,10 @@ struct SimulationOptions {
   int dense_factor = 2;       ///< density grid refinement (paper value)
   bool hybrid = true;         ///< HSE-style screened exchange
   bool nonlocal = true;       ///< synthetic KB projectors
-  /// Apply exchange through ACE (PWDFT_ACE resolution, default off); the
-  /// projector-refresh cadence follows HamiltonianOptions::ace_refresh
-  /// (<= 0 resolves PWDFT_ACE_REFRESH).
-  bool use_ace = ham::ace_env_default();
-  int ace_refresh = 0;
+  /// Apply exchange through ACE (default off); the projector-refresh
+  /// cadence follows HamiltonianOptions::ace_refresh (k >= 1).
+  bool use_ace = false;
+  int ace_refresh = 1;
   xc::HybridParams hybrid_params{};
   ham::FockOptions fock{};
   scf::ScfOptions scf{};

@@ -1,21 +1,11 @@
 #include "ham/ace.hpp"
 
 #include "common/check.hpp"
-#include "common/env.hpp"
 #include "common/exec.hpp"
 #include "linalg/blas.hpp"
 #include "linalg/cholesky.hpp"
 
 namespace pwdft::ham {
-
-bool ace_env_default() {
-  // Strict parse: PWDFT_ACE=On/TRUE/yes used to be silently off (common/env.hpp).
-  return env::flag("PWDFT_ACE", false);
-}
-
-int ace_refresh_env_default() {
-  return static_cast<int>(env::integer("PWDFT_ACE_REFRESH", 1, 1, 1 << 20));
-}
 
 void AceOperator::build(FockOperator& fock, const CMatrix& phi_local, par::Comm& comm) {
   PWDFT_CHECK(fock.has_orbitals(), "AceOperator: Fock orbitals not set");

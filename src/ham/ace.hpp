@@ -23,17 +23,6 @@
 
 namespace pwdft::ham {
 
-/// PWDFT_ACE resolution: 1/on => true, unset/0/off => false. Exchange is
-/// applied through the exact Alg. 2 pair solves by default; ACE is opt-in
-/// because it is exact only on span(Phi) (a controlled approximation off
-/// it, gated by the golden-physics traces).
-bool ace_env_default();
-
-/// PWDFT_ACE_REFRESH resolution: rebuild the ACE projectors every k-th
-/// orbital registration (k >= 1; unset/invalid => 1, i.e. every
-/// registration — the exact legacy cadence).
-int ace_refresh_env_default();
-
 class AceOperator {
  public:
   explicit AceOperator(const PlanewaveSetup& setup) : setup_(setup) {}

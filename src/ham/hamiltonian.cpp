@@ -16,7 +16,6 @@ namespace {
 HamiltonianOptions normalize(HamiltonianOptions o) {
   if (o.op_pipeline == fft::PipelineMode::kAuto) o.op_pipeline = fft::pipeline_env_default();
   if (o.fock.op_pipeline == fft::PipelineMode::kAuto) o.fock.op_pipeline = o.op_pipeline;
-  if (o.ace_refresh <= 0) o.ace_refresh = ace_refresh_env_default();
   return o;
 }
 
@@ -72,6 +71,9 @@ Hamiltonian::Hamiltonian(const PlanewaveSetup& setup, const pseudo::PseudoSpecie
       fft_dense_(fft::shared_engine(setup.dense_grid.dims())),
       fock_(setup, options_.hybrid, options_.fock),
       ace_(setup) {
+  // The cadence divides the registration counter in set_exchange_orbitals.
+  PWDFT_CHECK(options_.ace_refresh >= 1,
+              "Hamiltonian: ace_refresh must be >= 1, got " << options_.ace_refresh);
   v_loc_ps_ = pseudo::build_local_potential(setup_.crystal, species, setup_.dense_grid);
   if (options_.use_nonlocal && !species.channels.empty()) {
     nonlocal_ = std::make_unique<pseudo::NonlocalProjectors>(setup_.crystal, species,

@@ -29,15 +29,15 @@ struct HamiltonianOptions {
   /// Apply exchange through the ACE compression instead of direct Alg. 2:
   /// apply() then costs two transposes + one small Allreduce instead of a
   /// broadcast loop of pair solves, and one exact Fock apply per projector
-  /// build amortizes over every apply until the next refresh. Defaults to
-  /// the PWDFT_ACE resolution (off — ACE is exact only on span(Phi)).
-  bool use_ace = ace_env_default();
+  /// build amortizes over every apply until the next refresh. Off by
+  /// default: ACE is exact only on span(Phi).
+  bool use_ace = false;
   /// Rebuild the ACE projectors every k-th set_exchange_orbitals()
-  /// registration (counter-based, deterministic; <= 0 resolves
-  /// PWDFT_ACE_REFRESH, default 1 = every registration). The SCF outer
-  /// loop and the MTS propagators force a rebuild at their own schedule
-  /// points through request_ace_refresh() regardless of this cadence.
-  int ace_refresh = 0;
+  /// registration (counter-based, deterministic; k >= 1, default 1 = every
+  /// registration). The SCF outer loop and the MTS propagators force a
+  /// rebuild at their own schedule points through request_ace_refresh()
+  /// regardless of this cadence.
+  int ace_refresh = 1;
   /// Hybrid band×line scheduling: when the local band count is below the
   /// engine width, apply() switches from the band-parallel loop (per-band
   /// FFTs inline) to one batched formulation whose FFT passes parallelize

@@ -8,16 +8,17 @@
 /// layer).
 ///
 /// Durability contract:
-///   - Saves are atomic: the payload is written to `<path>.tmp`, flushed,
-///     and renamed into place, so a crash mid-write can never destroy the
-///     previous good snapshot or leave a torn file at the final path.
-///   - Format v2: an 8-byte magic whose last byte is the format version,
-///     the CheckpointMeta serialized field-by-field (fixed-width
-///     little-endian, no raw struct dumps), the payload, and a trailing
-///     FNV-1a-64 checksum over header + payload, validated on load.
-///   - Loads reject short files, checksum mismatches, and trailing bytes
-///     after the checksum (garbage appended to a snapshot used to load
-///     silently); any version other than v2 fails with a clear message.
+///   - Saves go through io::atomic_write (io/frame_file.hpp): a saved
+///     snapshot survives a power loss, a crash mid-write never destroys the
+///     previous one, and a failed save throws io::WriteError naming the file
+///     and errno, leaving no `<path>.tmp` behind.
+///   - Format v3: each file is one common/frame frame of its family's
+///     dialect (magic PWDFTPS / PWDFTRH / PWDFTBL, version '3'). The payload
+///     is the six CheckpointMeta fields, fixed-width little-endian (no raw
+///     struct dumps), then the data; the frame's FNV-1a-64 footer covers both.
+///   - Loads reject short files, checksum mismatches, and trailing bytes,
+///     checking the declared length before allocating; any version but v3
+///     fails with "unsupported format version".
 
 #include <cstdint>
 #include <string>
@@ -41,7 +42,7 @@ struct CheckpointMeta {
 };
 
 /// Writes wavefunctions (sphere coefficients, full band set) + metadata.
-/// Atomic: `<path>.tmp` + rename (see the durability contract above).
+/// Atomic and durable (see the durability contract above).
 void save_wavefunctions(const std::string& path, const CheckpointMeta& meta,
                         const CMatrix& psi);
 
@@ -58,9 +59,10 @@ void save_density(const std::string& path, const CheckpointMeta& meta,
 CheckpointMeta load_density(const std::string& path, std::vector<double>& rho,
                             const CheckpointMeta* expected = nullptr);
 
-/// Generic double-vector snapshot in the same v2 envelope (own magic, own
-/// element count — the meta shape fields describe the *run*, not the blob).
-/// serve::JobEngine persists flattened trajectory traces through this.
+/// Generic double-vector snapshot in the same v3 envelope (own magic; the
+/// frame length gives the element count — the meta shape fields describe
+/// the *run*, not the blob). serve::JobEngine persists flattened
+/// trajectory traces through this.
 void save_blob(const std::string& path, const CheckpointMeta& meta,
                const std::vector<double>& data);
 CheckpointMeta load_blob(const std::string& path, std::vector<double>& data);

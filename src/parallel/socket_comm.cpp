@@ -115,19 +115,12 @@ frame::Listener open_mesh_listener(const std::string& hint) {
   return frame::listen_on(hint + ":0");
 }
 
-void close_listener(frame::Listener& l) {
-  if (l.fd >= 0) ::close(l.fd);
-  if (!l.unix_path.empty()) ::unlink(l.unix_path.c_str());
-  l.fd = -1;
-  l.unix_path.clear();
-}
-
 /// Closes the listener on every exit path (a failed handshake must not
-/// leak the fd or the bound unix socket file). close_listener is
+/// leak the fd or the bound unix socket file). Listener::close is
 /// idempotent, so the explicit early close in the happy path still works.
 struct ListenerGuard {
   frame::Listener& l;
-  ~ListenerGuard() { close_listener(l); }
+  ~ListenerGuard() { l.close(); }
 };
 
 int accept_deadline(int listen_fd, Clock::time_point deadline, const char* what) {
@@ -280,7 +273,7 @@ std::unique_ptr<SocketComm> SocketComm::connect(int rank, int nranks,
       fds[r] = fd;
       addrs[r] = addr;
     }
-    close_listener(rv);
+    rv.close();
     std::vector<std::uint8_t> table;
     append_u32(table, static_cast<std::uint32_t>(nranks));
     for (const std::string& a : addrs) append_str(table, a);
@@ -325,7 +318,7 @@ std::unique_ptr<SocketComm> SocketComm::connect(int rank, int nranks,
                     "mesh: duplicate or bad peer rank " + std::to_string(r));
       fds[r] = fd;
     }
-    close_listener(mesh);
+    mesh.close();
   }
   return std::unique_ptr<SocketComm>(new SocketComm(rank, std::move(fds), opts, hint));
 }
@@ -750,7 +743,7 @@ std::unique_ptr<Comm> SocketComm::dup() {
   // full mesh on new sockets — an independent rendezvous domain.
   const std::vector<std::string> addrs = allgather_addresses(mesh.address);
   std::vector<int> fds = build_mesh(rank_, addrs, mesh.fd);
-  close_listener(mesh);
+  mesh.close();
   return std::unique_ptr<SocketComm>(new SocketComm(rank_, std::move(fds), opts_, mesh_hint_));
 }
 
@@ -792,7 +785,7 @@ std::unique_ptr<Comm> SocketComm::split(int color, int key) {
 
   std::vector<int> fds = members.size() == 1 ? std::vector<int>{-1}
                                              : build_mesh(new_rank, addrs, mesh.fd);
-  close_listener(mesh);
+  mesh.close();
   return std::unique_ptr<SocketComm>(
       new SocketComm(new_rank, std::move(fds), opts_, mesh_hint_));
 }

@@ -113,7 +113,7 @@ ScfResult GroundStateSolver::solve(CMatrix& psi, std::span<const double> occ,
     // ACE refresh schedule for the ground state: rebuild the projectors at
     // every outer step (the inner LOBPCG phase then amortizes one exact
     // Fock apply over all of its H applications), independent of where the
-    // PWDFT_ACE_REFRESH registration cadence happens to stand.
+    // ace_refresh registration cadence happens to stand.
     ham_.request_ace_refresh();
     ham_.set_exchange_orbitals(psi, occ, bands, comm);
     ScfResult inner = scf_phase(psi, occ, opt, std::max(4, opt.max_iter / 4));

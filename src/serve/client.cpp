@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/check.hpp"
+#include "common/frame.hpp"
 
 namespace pwdft::serve {
 
@@ -91,7 +92,7 @@ ErrorCode ack_reply(ErrorCode rc, const wire::Frame& frame) {
 
 }  // namespace
 
-Client::Client(const std::string& address) : fd_(wire::dial(address)) {
+Client::Client(const std::string& address) : fd_(frame::dial(address)) {
   wire::PutBuf hello;
   hello.u32(wire::kProtocolVersion);
   ErrorCode rc = wire::send_frame(fd_, wire::MsgType::kHello, hello.bytes());

@@ -43,6 +43,7 @@ ErrorCode JobSpec::validate(std::string* why) const {
   if (sim.dense_factor < 1 || sim.dense_factor > 8)
     return reject(why, "dense_factor out of [1, 8]");
   if (sim.scf.max_iter < 1) return reject(why, "scf.max_iter below 1");
+  if (sim.ace_refresh < 1) return reject(why, "sim.ace_refresh below 1");
   // Resume is bit-exact only at the default per-step exchange cadence
   // (MTS-aware resume is a ROADMAP follow-on): a checkpointed job must not
   // freeze exchange across steps.

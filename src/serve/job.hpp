@@ -104,7 +104,8 @@ constexpr const char* state_name(JobState s) {
 /// Snapshot of one job's progress, returned by JobEngine::status/wait and
 /// streamed over the wire. `error` != kOk marks either a failed lookup
 /// (kUnknownJob, kShutdown — the rest of the fields are then meaningless)
-/// or, with state == kFailed, the job's own failure (kJobFailed + message).
+/// or, with state == kFailed, the job's own failure (kJobFailed, or
+/// kIoError for a failed snapshot write, + message).
 struct JobStatus {
   JobState state = JobState::kQueued;
   /// Recorded trajectory: for finished jobs the full trace; for preempted

@@ -8,6 +8,7 @@
 #include "common/check.hpp"
 #include "common/env.hpp"
 #include "io/checkpoint.hpp"
+#include "io/frame_file.hpp"
 #include "perf/model.hpp"
 #include "serve/wire.hpp"
 
@@ -356,6 +357,7 @@ void JobEngine::run_job(Job& job) {
   std::uint64_t steps_done = 0;
   double scf_energy = 0.0;
   std::string error;
+  ErrorCode error_code = ErrorCode::kJobFailed;
   enum class Stop { kNone, kPreempt, kCancel, kEvict };
   Stop stop = Stop::kNone;
 
@@ -457,9 +459,10 @@ void JobEngine::run_job(Job& job) {
       };
       auto live = sim.propagate(prop);
       trace.insert(trace.end(), live.begin(), live.end());
-    } else if (job.spec.kind != JobKind::kScf) {
-      // Resumed at or past the requested horizon: nothing to do.
-    }
+    }  // else: an SCF job, or resumed at or past the requested horizon
+  } catch (const io::WriteError& e) {  // a snapshot write failed; what() names the file
+    error = e.what();
+    error_code = ErrorCode::kIoError;
   } catch (const std::exception& e) {
     error = e.what();
   }
@@ -471,7 +474,7 @@ void JobEngine::run_job(Job& job) {
   if (scf_energy != 0.0) j.scf_energy = scf_energy;
   if (!error.empty()) {
     j.state = JobState::kFailed;
-    j.error = ErrorCode::kJobFailed;
+    j.error = error_code;
     j.message = std::move(error);
   } else if (stop == Stop::kCancel || j.cancel_requested) {
     // A cancel that landed too late to stop the run still wins: the caller

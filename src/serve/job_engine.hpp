@@ -33,21 +33,23 @@
 ///
 /// Crash safety — in-process AND across process restarts. Every submitted
 /// job's spec is persisted to `<dir>/<name>.spec.ckpt` (the wire codec
-/// doubles as the durability codec) and removed when the job completes.
-/// Every checkpoint_every steps a running job atomically snapshots its
-/// wavefunctions and recorded trace (io::checkpoint, v2 format: tmp+rename,
-/// checksummed). preempt() stops a job cooperatively at the next step
-/// boundary WITHOUT a fresh snapshot — deliberately equivalent to a kill:
-/// work since the last snapshot is lost. resume() re-queues the job to
-/// continue from its newest snapshot; because a PT-CN step is a pure
-/// function of (psi, t) at the default exchange cadence, the stitched
-/// trajectory is bit-identical to an uninterrupted run (tests/test_serve.cpp
-/// pins this; JobSpec::validate rejects checkpointed MTS jobs). recover()
-/// rescans the checkpoint directory after a process restart — e.g. a
-/// `kill -9` of the serving process — and re-registers every job whose spec
-/// snapshot is still on disk, so each interrupted trajectory continues from
-/// its newest snapshot bit-identically (tests/test_server.cpp pins the
-/// kill-mid-run → restart → bit-identical path end to end).
+/// doubles as the durability codec) and removed when the job completes. Every
+/// checkpoint_every steps a running job snapshots its wavefunctions and
+/// recorded trace (io::checkpoint v3, checksummed). Every file goes through
+/// io::atomic_write (fsync, rename, directory fsync), so it survives power
+/// loss as well as a kill; a failed snapshot write ends the job kFailed with
+/// kIoError naming the file. preempt() stops a job cooperatively at the next
+/// step boundary WITHOUT a fresh snapshot — deliberately equivalent to a
+/// kill: work since the last snapshot is lost. resume() re-queues the job to
+/// continue from its newest snapshot; because a PT-CN step is a pure function
+/// of (psi, t) at the default exchange cadence, the stitched trajectory is
+/// bit-identical to an uninterrupted run (tests/test_serve.cpp pins this;
+/// JobSpec::validate rejects checkpointed MTS jobs). recover() rescans the
+/// checkpoint directory after a process restart — e.g. a `kill -9` of the
+/// serving process — and re-registers every job whose spec snapshot is still
+/// on disk, so each interrupted trajectory continues from its newest snapshot
+/// bit-identically (tests/test_server.cpp pins the kill-mid-run → restart →
+/// bit-identical path end to end).
 
 #include <condition_variable>
 #include <cstdint>

@@ -4,7 +4,6 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstdio>
 
 #include "common/env.hpp"
 
@@ -49,7 +48,7 @@ ServerOptions ServerOptions::from_env() {
 }
 
 Server::Server(ServerOptions opt)
-    : opt_(std::move(opt)), engine_(opt_.engine), listener_(wire::listen_on(opt_.listen)) {
+    : opt_(std::move(opt)), engine_(opt_.engine), listener_(frame::listen_on(opt_.listen)) {
   accept_thread_ = std::thread([this] { accept_loop(); });
 }
 
@@ -61,15 +60,11 @@ void Server::stop() {
     if (stopping_) return;
     stopping_ = true;
   }
-  // Closing the listener makes the blocked accept() fail, ending the accept
-  // thread; shutdown() first also unblocks it on platforms where close()
-  // alone does not.
-  if (listener_.fd >= 0) {
-    ::shutdown(listener_.fd, SHUT_RDWR);
-    ::close(listener_.fd);
-    listener_.fd = -1;
-  }
+  // shutdown() makes the blocked accept() fail, ending the accept thread;
+  // the fd is closed only after the join, since that thread reads it.
+  if (listener_.fd >= 0) ::shutdown(listener_.fd, SHUT_RDWR);
   if (accept_thread_.joinable()) accept_thread_.join();
+  listener_.close();
   // Unblock handler threads parked in engine wait*() calls, then kick their
   // sockets so blocked recv_frame() calls return. Handlers close their own
   // fds on the way out.
@@ -79,7 +74,6 @@ void Server::stop() {
     for (const int fd : conn_fds_) ::shutdown(fd, SHUT_RDWR);
   }
   for (std::thread& t : conn_threads_) t.join();
-  if (!listener_.unix_path.empty()) std::remove(listener_.unix_path.c_str());
 }
 
 void Server::accept_loop() {
@@ -140,13 +134,13 @@ void Server::serve_connection(int fd) {
     if (!handle(fd, frame)) break;
   }
 
+  {
+    std::lock_guard<std::mutex> lock(conns_mu_);
+    std::erase(conn_fds_, fd);
+  }
+  // Deregistered before the close: once closed, the fd number can be reused
+  // by a new connection, which stop() must never shut down.
   ::close(fd);
-  std::lock_guard<std::mutex> lock(conns_mu_);
-  for (std::size_t i = 0; i < conn_fds_.size(); ++i)
-    if (conn_fds_[i] == fd) {
-      conn_fds_.erase(conn_fds_.begin() + static_cast<std::ptrdiff_t>(i));
-      break;
-    }
 }
 
 bool Server::handle(int fd, const wire::Frame& frame) {

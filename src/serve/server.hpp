@@ -2,7 +2,7 @@
 
 /// \file server.hpp
 /// serve::Server — the network front-end of the job engine. It binds one
-/// listening socket ("unix:<path>" or "tcp:<host>:<port>", wire::listen_on),
+/// listening socket ("unix:<path>" or "tcp:<host>:<port>", frame::listen_on),
 /// accepts connections on a dedicated thread, and speaks the versioned frame
 /// protocol of serve/wire.hpp on one thread per connection, translating each
 /// request frame into the matching JobEngine call:
@@ -38,13 +38,14 @@
 #include <utility>
 #include <vector>
 
+#include "common/frame.hpp"
 #include "serve/job_engine.hpp"
 #include "serve/wire.hpp"
 
 namespace pwdft::serve {
 
 struct ServerOptions {
-  /// wire::listen_on address. "tcp:127.0.0.1:0" picks an ephemeral port;
+  /// frame::listen_on address. "tcp:127.0.0.1:0" picks an ephemeral port;
   /// the resolved address is Server::address().
   std::string listen = "unix:/tmp/pwdft-serve.sock";
   JobEngineOptions engine;
@@ -84,7 +85,7 @@ class Server {
 
   ServerOptions opt_;
   JobEngine engine_;
-  wire::Listener listener_;
+  frame::Listener listener_;  ///< closed only after accept_thread_ is joined
   std::thread accept_thread_;
 
   std::mutex conns_mu_;

@@ -2,20 +2,16 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdio>
+#include <cerrno>
 #include <cstring>
-#include <fstream>
 
 #include "common/check.hpp"
 #include "common/frame.hpp"
+#include "io/frame_file.hpp"
 
 namespace pwdft::serve::wire {
 
 namespace {
-
-static_assert(kFrameHeaderBytes == frame::kHeaderBytes &&
-                  kFrameFooterBytes == frame::kFooterBytes,
-              "serve frames use the shared frame layout");
 
 /// The serve dialect of the shared frame codec (common/frame.hpp). The
 /// byte format predates the shared module; the prefix and version byte are
@@ -111,12 +107,9 @@ std::vector<std::uint8_t> encode_frame(MsgType type, const std::vector<std::uint
 ErrorCode decode_frame(const std::uint8_t* data, std::size_t size, Frame* out,
                        std::uint64_t max_payload) {
   std::uint32_t type = 0;
-  std::vector<std::uint8_t> payload;
-  const frame::IoStatus s = frame::decode(protocol(max_payload), data, size, &type, &payload);
-  if (s != frame::IoStatus::kOk) return to_error(s);
+  const frame::IoStatus s = frame::decode(protocol(max_payload), data, size, &type, &out->payload);
   out->type = static_cast<MsgType>(type);
-  out->payload = std::move(payload);
-  return ErrorCode::kOk;
+  return to_error(s);
 }
 
 // --- message payload codecs ------------------------------------------------
@@ -301,70 +294,37 @@ ErrorCode send_frame(int fd, MsgType type, const std::vector<std::uint8_t>& payl
 
 ErrorCode recv_frame(int fd, Frame* out, std::uint64_t max_payload) {
   std::uint32_t type = 0;
-  std::vector<std::uint8_t> payload;
-  const frame::IoStatus s = frame::recv_frame(fd, protocol(max_payload), &type, &payload);
-  if (s != frame::IoStatus::kOk) return to_error(s);
+  const frame::IoStatus s = frame::recv_frame(fd, protocol(max_payload), &type, &out->payload);
   out->type = static_cast<MsgType>(type);
-  out->payload = std::move(payload);
-  return ErrorCode::kOk;
+  return to_error(s);
 }
-
-// --- addresses -------------------------------------------------------------
-
-Listener listen_on(const std::string& address) {
-  frame::Listener fl = frame::listen_on(address);
-  Listener l;
-  l.fd = fl.fd;
-  l.address = std::move(fl.address);
-  l.unix_path = std::move(fl.unix_path);
-  return l;
-}
-
-int dial(const std::string& address) { return frame::dial(address); }
 
 // --- durable spec snapshots ------------------------------------------------
 
 void save_spec_file(const std::string& path, const JobSpec& spec) {
   PutBuf payload;
   put_spec(payload, spec);
-  const std::vector<std::uint8_t> frame_bytes =
-      encode_frame(MsgType::kSpecSnapshot, payload.bytes());
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream f(tmp, std::ios::binary | std::ios::trunc);
-    PWDFT_CHECK(f.good(), "serve: cannot open " << tmp << " for writing");
-    f.write(reinterpret_cast<const char*>(frame_bytes.data()),
-            static_cast<std::streamsize>(frame_bytes.size()));
-    f.flush();
-    PWDFT_CHECK(f.good(), "serve: short write to " << tmp);
-  }
-  PWDFT_CHECK(std::rename(tmp.c_str(), path.c_str()) == 0,
-              "serve: cannot rename " << tmp << " to " << path);
+  io::write_frame_file(path, protocol(kMaxFramePayload),
+                       static_cast<std::uint32_t>(MsgType::kSpecSnapshot), payload.bytes());
 }
 
 ErrorCode load_spec_file(const std::string& path, JobSpec* spec, std::string* why) {
-  std::ifstream f(path, std::ios::binary);
-  if (!f.good()) {
-    if (why) *why = "cannot open " + path;
-    return ErrorCode::kIoError;
-  }
-  std::vector<std::uint8_t> bytes((std::istreambuf_iterator<char>(f)),
-                                  std::istreambuf_iterator<char>());
-  Frame fr;
+  std::uint32_t type = 0;
+  std::vector<std::uint8_t> payload;
   // A spec is a few hundred bytes; cap well below the transport limit.
-  const ErrorCode e = decode_frame(bytes.data(), bytes.size(), &fr, 1 << 20);
-  if (e != ErrorCode::kOk) {
-    if (why) *why = std::string(error_name(e)) + " in " + path;
+  const frame::IoStatus st = io::read_frame_file(path, protocol(1 << 20), &type, &payload);
+  if (st != frame::IoStatus::kOk) {
+    const ErrorCode e = to_error(st);
+    if (why)
+      *why = st == frame::IoStatus::kIoError ? "cannot read " + path + ": " + std::strerror(errno)
+                                             : std::string(error_name(e)) + " in " + path;
     return e;
   }
-  if (fr.type != MsgType::kSpecSnapshot) {
-    if (why) *why = "not a spec snapshot: " + path;
-    return ErrorCode::kBadFrame;
-  }
-  GetBuf in(fr.payload);
+  GetBuf in(payload);
   JobSpec s;
-  if (!get_spec(in, &s) || !in.exhausted()) {
-    if (why) *why = "malformed spec payload in " + path;
+  if (type != static_cast<std::uint32_t>(MsgType::kSpecSnapshot) || !get_spec(in, &s) ||
+      !in.exhausted()) {
+    if (why) *why = "not a well-formed spec snapshot: " + path;
     return ErrorCode::kBadFrame;
   }
   const ErrorCode v = s.validate(why);

@@ -1,35 +1,27 @@
 #pragma once
 
 /// \file wire.hpp
-/// Versioned binary wire protocol for the serve front-end: the frame and
-/// payload codecs shared by serve::Server, serve::Client, and the engine's
-/// durable JobSpec snapshots. The format follows the checkpoint-v2
-/// discipline of src/io: an 8-byte magic whose last byte is the protocol
-/// version, every field serialized individually in fixed-width
-/// little-endian (never a raw struct image), and a trailing FNV-1a-64
-/// checksum over everything before it, validated before any payload is
-/// interpreted.
-///
-/// Frame layout (all integers little-endian):
-///
-///   offset  0  8 bytes  magic: 'P''W''D''F''T''N''W' + ('0' + version)
-///   offset  8  u32      message type (MsgType)
-///   offset 12  u64      payload length n
-///   offset 20  n bytes  payload (per-message codec below)
-///   offset 20+n u64     FNV-1a-64 over bytes [0, 20+n)
+/// Versioned binary wire protocol for the serve front-end: the serve
+/// dialect (magic PWDFTNW) of the shared frame codec, whose header
+/// common/frame.hpp documents the byte layout, plus the payload codecs
+/// shared by serve::Server, serve::Client, and the engine's durable JobSpec
+/// snapshots. Every field is serialized individually in fixed-width
+/// little-endian (never a raw struct image), and the frame checksum is
+/// validated before any payload is interpreted.
 ///
 /// Decoding is total: every failure mode (bad magic, foreign version,
 /// oversized length, short read, checksum mismatch, payload overrun or
 /// trailing bytes) maps to a typed serve::ErrorCode — never an exception,
 /// never a crash — because frames arrive from untrusted peers. The same
-/// bytes double as the on-disk `<job>.spec.ckpt` snapshot the engine
-/// replays after a process restart (save_spec_file/load_spec_file), so the
-/// submit codec is also the durability codec.
+/// frame is the on-disk `<job>.spec.ckpt` snapshot the engine replays
+/// after a process restart, written and read through io/frame_file.hpp,
+/// so the submit codec is also the durability codec.
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "common/frame.hpp"
 #include "serve/error.hpp"
 #include "serve/job.hpp"
 
@@ -43,8 +35,7 @@ constexpr std::uint32_t kProtocolVersion = 2;
 /// field must produce a typed error, not a giant allocation.
 constexpr std::uint64_t kMaxFramePayload = 64ull << 20;
 
-constexpr std::uint64_t kFrameHeaderBytes = 8 + 4 + 8;
-constexpr std::uint64_t kFrameFooterBytes = 8;
+constexpr std::uint64_t kFrameHeaderBytes = frame::kHeaderBytes;
 
 /// Message types. Values are wire-stable: append, never renumber.
 enum class MsgType : std::uint32_t {
@@ -133,8 +124,8 @@ ErrorCode decode_frame(const std::uint8_t* data, std::size_t size, Frame* out,
 
 void put_spec(PutBuf& out, const JobSpec& spec);
 /// Field-by-field decode; false on overrun (caller maps to kBadFrame).
-/// Performance knobs that are server-side configuration (FockOptions, FFT
-/// dispatch/pipeline) are not on the wire — results are bit-identical
+/// Performance knobs that are server-side configuration (FockOptions, the
+/// operator pipeline mode) are not on the wire — results are bit-identical
 /// across those modes, so the server's own resolution applies.
 bool get_spec(GetBuf& in, JobSpec* spec);
 
@@ -164,32 +155,17 @@ ErrorCode send_frame(int fd, MsgType type, const std::vector<std::uint8_t>& payl
 /// should answer with a typed error frame and drop the connection.
 ErrorCode recv_frame(int fd, Frame* out, std::uint64_t max_payload = kMaxFramePayload);
 
-// --- addresses -------------------------------------------------------------
-// "unix:<path>" (filesystem socket) or "tcp:<host>:<port>" with a numeric
-// IPv4 host or "localhost"; "tcp:127.0.0.1:0" binds an ephemeral port.
-
-struct Listener {
-  int fd = -1;
-  std::string address;    ///< resolved form (ephemeral port filled in)
-  std::string unix_path;  ///< non-empty for unix sockets; unlinked on close
-};
-
-/// Binds + listens; throws pwdft::Error on an unparseable address or a
-/// failed syscall (server startup is an environment error, not a request).
-Listener listen_on(const std::string& address);
-
-/// Connects; throws pwdft::Error on failure for the same reason.
-int dial(const std::string& address);
-
 // --- durable spec snapshots ------------------------------------------------
 
-/// Atomically writes `spec` as a kSpecSnapshot frame (tmp + rename, the
-/// io::checkpoint durability contract). Throws pwdft::Error on I/O failure.
+/// Durably writes `spec` as a kSpecSnapshot frame through io::atomic_write
+/// (fsync + rename + directory fsync). Throws pwdft::Error naming the file
+/// on I/O failure.
 void save_spec_file(const std::string& path, const JobSpec& spec);
 
-/// Loads and fully validates a spec snapshot: frame decode, payload decode,
-/// and JobSpec::validate() all typed — a corrupt or foreign file yields an
-/// error code, never a crash or a half-initialized spec.
+/// Loads and fully validates a spec snapshot (io::read_frame_file, capped
+/// at 1 MiB): frame decode, payload decode, and JobSpec::validate() all
+/// typed — a corrupt or foreign file yields an error code, never a crash or
+/// a half-initialized spec.
 ErrorCode load_spec_file(const std::string& path, JobSpec* spec, std::string* why = nullptr);
 
 }  // namespace pwdft::serve::wire

@@ -33,7 +33,7 @@ struct CnOptions {
   bool sp_comm = false;
   /// Exchange-operator MTS, same semantics as PtCnOptions::mts_interval /
   /// mts_drift_tol (td/mts.hpp): 0 = legacy per-inner-iteration refresh.
-  int mts_interval = mts_interval_env_default();
+  int mts_interval = 0;
   double mts_drift_tol = 1e-3;
 };
 

@@ -3,16 +3,9 @@
 #include <algorithm>
 
 #include "common/check.hpp"
-#include "common/env.hpp"
 #include "linalg/blas.hpp"
 
 namespace pwdft::td {
-
-int mts_interval_env_default() {
-  // Strict parse: PWDFT_MTS_INTERVAL=four used to atoi to 0 and silently
-  // disable MTS; malformed values now throw (common/env.hpp).
-  return static_cast<int>(env::integer("PWDFT_MTS_INTERVAL", 0, 0, 1 << 20));
-}
 
 double MtsScheduler::subspace_drift(const CMatrix& psi_local, par::Comm& comm) const {
   PWDFT_ASSERT(phi_frozen_.rows() == psi_local.rows() &&

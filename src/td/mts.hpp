@@ -26,12 +26,6 @@
 
 namespace pwdft::td {
 
-/// PWDFT_MTS_INTERVAL resolution: unset/0/invalid => 0 (MTS off — the
-/// propagators re-register the exchange orbitals every inner SCF
-/// iteration, the legacy cadence); k >= 1 => freeze the exchange operator
-/// across steps and rebuild every k-th step.
-int mts_interval_env_default();
-
 /// What begin_step() decided for this step.
 struct MtsStepDecision {
   bool active = false;     ///< MTS governs the exchange cadence of this step

@@ -34,14 +34,14 @@ struct PtCnOptions {
   double anderson_beta = 1.0;
   bool sp_comm = true;           ///< single-precision Alltoallv payloads (§3.3)
   /// Multiple time stepping of the exchange operator (td/mts.hpp). 0
-  /// (default, the PWDFT_MTS_INTERVAL resolution) = off: exchange orbitals
+  /// (default) = off: exchange orbitals
   /// are re-registered from Psi_f every inner SCF iteration. k >= 1
   /// freezes the exchange operator across steps — rebuilt from Psi_n at
   /// step start every k-th step or when the drift bound trips, held frozen
   /// through the step's inner iterations. The cadence is counter-based and
   /// deterministic; composes with HamiltonianOptions::use_ace, which makes
   /// the frozen applies cheap (no pair solves between refreshes).
-  int mts_interval = mts_interval_env_default();
+  int mts_interval = 0;
   /// Early-refresh bound on the monitored per-band subspace drift
   /// max_j (1 - |<phi_frozen_j, psi_j>|^2); exceeding it forces an exact
   /// rebuild before the cadence is due. <= 0 refreshes every step.

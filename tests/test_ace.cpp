@@ -293,7 +293,7 @@ TEST(Mts, TrajectoryIndependentOfInterleavedRegistrations) {
 }
 
 TEST(Mts, AceRefreshCadenceFollowsRegistrationCounter) {
-  // PWDFT_ACE_REFRESH semantics at the Hamiltonian level, without MTS:
+  // HamiltonianOptions::ace_refresh semantics, without MTS:
   // every k-th set_exchange_orbitals() rebuilds the projectors, and
   // request_ace_refresh() forces the next registration to rebuild.
   auto setup = test::make_si8_setup(3.0, 1);

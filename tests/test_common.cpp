@@ -11,8 +11,8 @@
 #include "common/table.hpp"
 #include "common/timer.hpp"
 #include "common/types.hpp"
-#include "ham/ace.hpp"
-#include "td/mts.hpp"
+#include "serve/job.hpp"
+#include "td/cn.hpp"
 
 namespace pwdft {
 namespace {
@@ -174,27 +174,22 @@ TEST(Env, IntegerRejectsGarbageAndOutOfRangeLoudly) {
   unsetenv(name);
 }
 
-// The knob resolvers ride the strict parser: the exact failure modes the
-// bugfix targets (PWDFT_MTS_INTERVAL=four silently disabling MTS,
-// PWDFT_ACE=yes silently off) now throw / parse correctly.
-TEST(Env, KnobResolversUseStrictParsing) {
-  setenv("PWDFT_MTS_INTERVAL", "four", 1);
-  EXPECT_THROW(td::mts_interval_env_default(), Error);
-  setenv("PWDFT_MTS_INTERVAL", "3", 1);
-  EXPECT_EQ(td::mts_interval_env_default(), 3);
-  unsetenv("PWDFT_MTS_INTERVAL");
-
-  setenv("PWDFT_ACE", "yes", 1);
-  EXPECT_TRUE(ham::ace_env_default());
-  setenv("PWDFT_ACE", "On", 1);
-  EXPECT_TRUE(ham::ace_env_default());
-  setenv("PWDFT_ACE", "enabled", 1);
-  EXPECT_THROW(ham::ace_env_default(), Error);
+// No environment variable changes a result: the exchange options keep fixed
+// defaults, so a job resumed by another server continues the same trajectory.
+TEST(Env, ExchangeOptionDefaultsIgnoreTheEnvironment) {
+  setenv("PWDFT_ACE", "1", 1);
+  setenv("PWDFT_ACE_REFRESH", "3", 1);
+  setenv("PWDFT_MTS_INTERVAL", "4", 1);
+  const serve::JobSpec spec;
+  EXPECT_FALSE(ham::HamiltonianOptions{}.use_ace);
+  EXPECT_EQ(ham::HamiltonianOptions{}.ace_refresh, 1);
+  EXPECT_FALSE(spec.sim.use_ace);  // spec.sim is a default SimulationOptions
+  EXPECT_EQ(spec.sim.ace_refresh, 1);
+  EXPECT_EQ(spec.ptcn.mts_interval, 0);  // spec.ptcn is a default PtCnOptions
+  EXPECT_EQ(td::CnOptions{}.mts_interval, 0);
   unsetenv("PWDFT_ACE");
-
-  setenv("PWDFT_ACE_REFRESH", "0", 1);
-  EXPECT_THROW(ham::ace_refresh_env_default(), Error);
   unsetenv("PWDFT_ACE_REFRESH");
+  unsetenv("PWDFT_MTS_INTERVAL");
 }
 
 }  // namespace

@@ -3,10 +3,14 @@
 /// Shared fixtures for the PT-PWDFT test suite: small silicon problems that
 /// run in seconds, deterministic random states, and naive reference kernels.
 
+#include <sys/resource.h>
+
 #include <cmath>
 #include <complex>
+#include <csignal>
 #include <vector>
 
+#include "common/check.hpp"
 #include "common/random.hpp"
 #include "common/types.hpp"
 #include "crystal/crystal.hpp"
@@ -77,5 +81,24 @@ inline CMatrix band_slice(const CMatrix& psi_full, const par::BlockPartition& ba
       out(i, j) = psi_full(i, bands.offset(rank) + j);
   return out;
 }
+
+/// Disk-full fault from outside the library: lowers this process's soft
+/// RLIMIT_FSIZE with SIGXFSZ ignored, so a write that would grow a file past
+/// `bytes` fails with EFBIG. Restores both on scope exit.
+struct FileSizeLimit {
+  explicit FileSizeLimit(rlim_t bytes) : handler(std::signal(SIGXFSZ, SIG_IGN)) {
+    PWDFT_CHECK(::getrlimit(RLIMIT_FSIZE, &saved) == 0, "getrlimit failed");
+    const rlimit lowered{bytes, saved.rlim_max};
+    PWDFT_CHECK(::setrlimit(RLIMIT_FSIZE, &lowered) == 0, "setrlimit failed");
+  }
+  FileSizeLimit(const FileSizeLimit&) = delete;
+  FileSizeLimit& operator=(const FileSizeLimit&) = delete;
+  ~FileSizeLimit() {
+    ::setrlimit(RLIMIT_FSIZE, &saved);
+    std::signal(SIGXFSZ, handler);
+  }
+  void (*handler)(int);
+  rlimit saved{};
+};
 
 }  // namespace pwdft::test

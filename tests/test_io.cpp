@@ -101,7 +101,7 @@ TEST(Checkpoint, MetadataShapeMismatchOnSaveThrows) {
   EXPECT_THROW(io::save_wavefunctions(p.path, meta, psi), Error);
 }
 
-// --- Fault suite for the v2 crash-safe format ------------------------------
+// --- Fault suite for the v3 crash-safe format ------------------------------
 
 namespace fault {
 
@@ -127,7 +127,7 @@ TEST(CheckpointFault, InterruptedSaveKeepsOldSnapshotLoadable) {
   io::save_wavefunctions(p.path, meta, psi_old);
 
   // Crash simulation: a newer save died after writing half its bytes to the
-  // temp file (the only file an interrupted Writer ever touches).
+  // temp file (the only file an interrupted save ever touches).
   const std::string good = fault::slurp(p.path);
   fault::spit(p.path + ".tmp", good.substr(0, good.size() / 2));
 
@@ -136,6 +136,29 @@ TEST(CheckpointFault, InterruptedSaveKeepsOldSnapshotLoadable) {
   EXPECT_EQ(got.step, 50u);
   EXPECT_EQ(test::max_abs_diff(loaded, psi_old), 0.0);
   std::remove((p.path + ".tmp").c_str());
+}
+
+// A save that fails mid-write (the file-size limit stands in for a full
+// disk) throws naming the file, removes its temp file, and leaves the
+// previous snapshot loadable bit-for-bit.
+TEST(CheckpointFault, FailedSaveKeepsOldSnapshotAndLeavesNoTemp) {
+  auto setup = test::make_si8_setup(3.0, 1);
+  auto psi_old = test::random_orthonormal(setup, 4, 25);
+  const auto meta = io::CheckpointMeta::from_setup(setup, 4, 1.5, 30);
+  TempPath p("diskfull.bin");
+  io::save_wavefunctions(p.path, meta, psi_old);
+  try {
+    test::FileSizeLimit limit(1024);  // well below one snapshot
+    io::save_wavefunctions(p.path, meta, test::random_orthonormal(setup, 4, 27));
+    FAIL() << "a save past the file-size limit should have thrown";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(p.path), std::string::npos) << e.what();
+  }
+  EXPECT_FALSE(std::ifstream(p.path + ".tmp").good());
+  CMatrix loaded;
+  const auto got = io::load_wavefunctions(p.path, loaded, &meta);
+  EXPECT_EQ(got.step, 30u);
+  EXPECT_EQ(test::max_abs_diff(loaded, psi_old), 0.0);
 }
 
 TEST(CheckpointFault, SaveLeavesNoTempFileBehind) {
@@ -201,8 +224,9 @@ TEST(CheckpointFault, RejectsUnknownFormatVersion) {
   io::save_wavefunctions(p.path, meta, psi);
   std::string bad = fault::slurp(p.path);
   CMatrix loaded;
-  // '1' is the retired v1 layout (raw-struct header, no checksum).
-  for (const char ver : {'9', '1'}) {
+  // '1' is the retired v1 layout (raw-struct header, no checksum), '2' the
+  // retired v2 layout (own envelope, no frame header).
+  for (const char ver : {'9', '1', '2'}) {
     bad[7] = ver;  // version byte of the magic
     fault::spit(p.path, bad);
     try {

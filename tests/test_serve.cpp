@@ -11,6 +11,7 @@
 #include "io/checkpoint.hpp"
 #include "serve/job_engine.hpp"
 #include "serve_test_util.hpp"
+#include "test_helpers.hpp"
 
 namespace pwdft {
 namespace {
@@ -279,6 +280,23 @@ TEST(JobEngine, RejectionsAreTypedErrorCodes) {
   engine.wait(id.id);
 }
 
+// A snapshot that cannot be written (the file-size limit stands in for a full
+// disk) fails the job with a typed kIoError naming the file, leaving no temp.
+TEST(JobEngine, SnapshotWriteFailureFailsJobWithIoError) {
+  CkptDir dir(::testing::UnitTest::GetInstance()->current_test_info()->name());
+  serve::JobEngineOptions eopt;
+  eopt.checkpoint_dir = dir.path;
+  serve::JobEngine engine(eopt);
+  const serve::JobStatus st = [&] {  // the limit is lifted before any EXPECT prints
+    test::FileSizeLimit limit(4096);  // above the spec frame, below the ground state
+    return engine.wait(engine.submit(tiny_job("diskfull", serve::JobKind::kAbsorption, 2)).id);
+  }();
+  EXPECT_EQ(st.state, serve::JobState::kFailed);
+  EXPECT_EQ(st.error, serve::ErrorCode::kIoError) << st.message;
+  EXPECT_NE(st.message.find(dir.path + "/diskfull.gs.ckpt"), std::string::npos) << st.message;
+  EXPECT_FALSE(std::filesystem::exists(dir.path + "/diskfull.gs.ckpt.tmp"));
+}
+
 TEST(JobSpec, ValidateRejectsHostileAndUnphysicalSpecs) {
   const auto ok = tiny_job("fine.job-1", serve::JobKind::kAbsorption, 2);
   EXPECT_EQ(ok.validate(), serve::ErrorCode::kOk);
@@ -315,6 +333,12 @@ TEST(JobSpec, ValidateRejectsHostileAndUnphysicalSpecs) {
   bad = ok;
   bad.sim.ecut = -3.0;
   EXPECT_EQ(bad.validate(), serve::ErrorCode::kInvalidSpec);
+
+  // The ACE cadence divides a counter: 0 (older clients' default) is typed.
+  bad = ok;
+  bad.sim.ace_refresh = 0;
+  EXPECT_EQ(bad.validate(&why), serve::ErrorCode::kInvalidSpec);
+  EXPECT_NE(why.find("ace_refresh"), std::string::npos) << why;
 
   // Checkpointed MTS is rejected: resume is bit-exact only at the default
   // per-step exchange cadence.

@@ -294,7 +294,7 @@ TEST(JobServer, MalformedFramesAreRejectedWithTypedErrors) {
 
   // Garbage instead of a hello: kBadFrame, connection closed.
   {
-    const int fd = serve::wire::dial(server.address());
+    const int fd = frame::dial(server.address());
     const std::vector<std::uint8_t> garbage(64, 0xab);
     ASSERT_EQ(::send(fd, garbage.data(), garbage.size(), MSG_NOSIGNAL),
               static_cast<ssize_t>(garbage.size()));
@@ -310,7 +310,7 @@ TEST(JobServer, MalformedFramesAreRejectedWithTypedErrors) {
 
   // Foreign protocol version in the hello: kVersionMismatch.
   {
-    const int fd = serve::wire::dial(server.address());
+    const int fd = frame::dial(server.address());
     serve::wire::PutBuf hello;
     hello.u32(99);
     ASSERT_EQ(serve::wire::send_frame(fd, serve::wire::MsgType::kHello, hello.bytes()),
@@ -321,7 +321,7 @@ TEST(JobServer, MalformedFramesAreRejectedWithTypedErrors) {
 
   // Valid handshake, then a bit-flipped request: kChecksumMismatch.
   {
-    const int fd = serve::wire::dial(server.address());
+    const int fd = frame::dial(server.address());
     handshake(fd);
     serve::wire::PutBuf req;
     req.u64(0);
@@ -335,7 +335,7 @@ TEST(JobServer, MalformedFramesAreRejectedWithTypedErrors) {
 
   // Valid handshake, then a frame cut off mid-payload: kTruncated.
   {
-    const int fd = serve::wire::dial(server.address());
+    const int fd = frame::dial(server.address());
     handshake(fd);
     serve::wire::PutBuf req;
     req.u64(0);

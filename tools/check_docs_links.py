@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Fail on broken relative links in the repo's markdown doc set.
+"""Fail on broken relative links in the repo's markdown doc set, and on a
+knob table that does not match the code.
 
 Usage:
     tools/check_docs_links.py [--root REPO_ROOT]
@@ -10,9 +11,16 @@ links/images `[text](target)` and checks that every *relative* target
 existing file or directory, after stripping a trailing #anchor. Targets
 inside fenced code blocks (``` ... ```) and inline code spans are ignored.
 
-Exit status 0 when every link resolves, 1 otherwise (each broken link is
-reported as file:line). This is the CI `docs-check` step, so the cross-links
-between the performance/architecture/threading docs can't rot silently.
+Then compares the set of `"PWDFT_[A-Z_]+"` string literals in src/ with
+the first column of the env-var table in docs/PERFORMANCE.md (the table
+whose header starts `| Env var |`): a variable the code reads but the
+table omits, or a row for a variable nothing reads, is an error.
+
+Exit status 0 when every link resolves and the knob table matches, 1
+otherwise (each broken link is reported as file:line). This is the CI
+`docs-check` step, so the cross-links between the
+performance/architecture/threading docs and the knob table can't rot
+silently.
 """
 
 import argparse
@@ -21,6 +29,9 @@ import re
 import sys
 
 LINK_RE = re.compile(r"!?\[[^\]]*\]\(([^)\s]+)\)")
+ENV_LITERAL_RE = re.compile(r'"(PWDFT_[A-Z_]+)"')
+ENV_ROW_RE = re.compile(r"\|\s*`(PWDFT_[A-Z_]+)`\s*\|")
+KNOB_TABLE = pathlib.Path("docs") / "PERFORMANCE.md"
 CODE_SPAN_RE = re.compile(r"`[^`]*`")
 EXTERNAL = ("http://", "https://", "mailto:")
 
@@ -58,6 +69,39 @@ def check_file(path, root):
     return broken
 
 
+def env_literals(root):
+    """Every "PWDFT_*" string literal in the sources under src/."""
+    names = set()
+    for f in sorted((root / "src").rglob("*")):
+        if f.is_file():
+            names |= set(ENV_LITERAL_RE.findall(f.read_text(encoding="utf-8")))
+    return names
+
+
+def knob_table_rows(root):
+    """First column of the env-var table in docs/PERFORMANCE.md."""
+    rows, in_table = set(), False
+    for line in (root / KNOB_TABLE).read_text(encoding="utf-8").splitlines():
+        if line.startswith("| Env var |"):
+            in_table = True
+        elif in_table and not line.startswith("|"):
+            break
+        elif in_table:
+            match = ENV_ROW_RE.match(line)
+            if match:
+                rows.add(match.group(1))
+    return rows
+
+
+def check_knob_table(root):
+    code, table = env_literals(root), knob_table_rows(root)
+    problems = [f"{name} is read in src/ but missing from the knob table"
+                for name in sorted(code - table)]
+    problems += [f"{name} has a knob-table row but nothing in src/ reads it"
+                 for name in sorted(table - code)]
+    return problems
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -78,8 +122,13 @@ def main():
     checked = ", ".join(str(f.relative_to(args.root)) for f in files)
     if failures:
         print(f"docs-check: {failures} broken link(s) across {checked}", file=sys.stderr)
+    knob_problems = check_knob_table(args.root)
+    for problem in knob_problems:
+        print(f"{KNOB_TABLE}: {problem}", file=sys.stderr)
+    if failures or knob_problems:
         return 1
-    print(f"docs-check: all relative links resolve ({checked})")
+    print(f"docs-check: all relative links resolve ({checked}); "
+          f"the knob table lists every PWDFT_* variable in src/")
     return 0
 
 
