@@ -2,7 +2,7 @@
 // operations (MPI_Bcast, CPU-GPU memcpy, MPI_Alltoallv, MPI_Allreduce)
 // against the computation time, per PT-CN step for Si1536.
 //
-// A second section *measures* the PR's communication machinery on this
+// A second section *measures* the communication machinery on this
 // machine with thread-backed ranks:
 //
 //   - comm_overlap_speedup: mean per-rank per-step latency of the
@@ -17,10 +17,6 @@
 //     proceeds on the async lane while the caller computes (a serialized
 //     implementation would pay the wire time on the critical path in both
 //     modes and score ~1.0).
-//   - comm_volume_2d: per-rank Alltoallv bytes of the flat P-rank
-//     wavefunction transpose over the band-grouped (HierComm) grid
-//     transpose of the same global block. Deterministic: counted by the
-//     CommStats layer, not timed.
 //
 // `--json <path>` writes the measured rows as bench_json.hpp records; the
 // committed BENCH_scaling.json baseline tracks them in the CI perf-smoke
@@ -37,7 +33,6 @@
 #include "common/random.hpp"
 #include "common/table.hpp"
 #include "common/timer.hpp"
-#include "parallel/hier_comm.hpp"
 #include "parallel/overlap.hpp"
 #include "parallel/thread_comm.hpp"
 #include "parallel/transpose.hpp"
@@ -99,9 +94,6 @@ class SimWireComm final : public par::Comm {
   std::unique_ptr<par::Comm> dup() override {
     return std::make_unique<SimWireComm>(parent_->dup(), wire_);
   }
-  std::unique_ptr<par::Comm> split(int color, int key) override {
-    return std::make_unique<SimWireComm>(parent_->split(color, key), wire_);
-  }
 
  private:
   std::unique_ptr<par::Comm> owned_;
@@ -111,24 +103,19 @@ class SimWireComm final : public par::Comm {
 
 /// Mean per-rank per-step latency (seconds) of `steps` transpose+compute
 /// steps on `np` thread-backed ranks. Rank r computes (r+1)*kUnits units —
-/// the skew the overlap hides. With band_groups > 1 the transposes run on
-/// the grid() communicators of a HierComm (each band group transposes its
-/// band slice over fewer ranks).
-double mean_step_latency(int np, int band_groups, bool overlap, int steps,
-                         std::size_t ng, std::size_t nb) {
+/// the skew the overlap hides. The transposes run on the flat communicator
+/// over all ranks, the engine's one band layout.
+double mean_step_latency(int np, bool overlap, int steps, std::size_t ng, std::size_t nb) {
   constexpr std::size_t kUnits = 480;
   constexpr std::chrono::microseconds kWire{3000};
   std::vector<double> total(np, 0.0);
   par::ThreadGroup::run(np, [&](par::Comm& c) {
-    par::HierComm h(c, band_groups);
-    const par::BlockPartition groups = h.group_bands(nb);
-    const std::size_t nb_group = groups.count(h.band_group());
-    par::BlockPartition bands(nb_group, h.n_grid_ranks());
-    par::BlockPartition gvecs(ng, h.n_grid_ranks());
+    par::BlockPartition bands(nb, np);
+    par::BlockPartition gvecs(ng, np);
     par::WavefunctionTranspose tr(gvecs, bands);
-    SimWireComm wire(h.grid(), kWire);
+    SimWireComm wire(c, kWire);
     Rng rng(11 + c.rank());
-    CMatrix band_local(ng, bands.count(h.grid_rank()));
+    CMatrix band_local(ng, bands.count(c.rank()));
     for (std::size_t i = 0; i < band_local.size(); ++i)
       band_local.data()[i] = rng.complex_normal();
     CMatrix g_local;
@@ -171,24 +158,6 @@ double mean_step_latency(int np, int band_groups, bool overlap, int steps,
   return mean / (double(np) * steps);
 }
 
-/// Per-rank-0 Alltoallv receive bytes of one band_to_g transpose of an
-/// (ng x nb) block: flat over np ranks vs grid-grouped over np/groups.
-std::size_t transpose_recv_bytes(int np, int band_groups, std::size_t ng, std::size_t nb) {
-  auto stats = par::ThreadGroup::run(np, [&](par::Comm& c) {
-    par::HierComm h(c, band_groups);
-    const par::BlockPartition groups = h.group_bands(nb);
-    par::BlockPartition bands(groups.count(h.band_group()), h.n_grid_ranks());
-    par::BlockPartition gvecs(ng, h.n_grid_ranks());
-    par::WavefunctionTranspose tr(gvecs, bands);
-    CMatrix band_local(ng, bands.count(h.grid_rank()), Complex{1.0, 0.0});
-    CMatrix g_local;
-    tr.band_to_g(h.grid(), band_local, g_local, false);
-    h.merge_substats();
-    c.stats().merge(h.stats());
-  });
-  return stats[0].get(par::CommOp::kAlltoallv).bytes;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -219,31 +188,15 @@ int main(int argc, char** argv) {
               " the sync schedule pays it on the critical path, the overlapped\n"
               " schedule hides it behind the skewed compute on the async lane)\n\n");
   Table t({"config", "sync (ms)", "overlap (ms)", "speedup"});
-  struct Case {
-    int np, groups;
-    const char* config;
-  };
-  for (const Case cs : {Case{2, 1, "ranks:2"}, Case{4, 1, "ranks:4"},
-                        Case{4, 2, "ranks:4/layout:2x2"}}) {
-    const double off = mean_step_latency(cs.np, cs.groups, false, steps, ng, nb);
-    const double on = mean_step_latency(cs.np, cs.groups, true, steps, ng, nb);
+  for (const int np : {2, 4}) {
+    const std::string config = "ranks:" + std::to_string(np);
+    const double off = mean_step_latency(np, false, steps, ng, nb);
+    const double on = mean_step_latency(np, true, steps, ng, nb);
     const double speedup = on > 0 ? off / on : 0.0;
-    t.row(cs.config, off * 1e3, on * 1e3, speedup);
-    json.add("comm_overlap_speedup", cs.config, on, speedup);
+    t.row(config, off * 1e3, on * 1e3, speedup);
+    json.add("comm_overlap_speedup", config, on, speedup);
   }
   t.print();
-
-  // ---- Deterministic: 2D layout communication volume. ----
-  {
-    const std::size_t flat = transpose_recv_bytes(4, 1, ng, nb);
-    const std::size_t grid = transpose_recv_bytes(4, 2, ng, nb);
-    const double ratio = grid > 0 ? double(flat) / double(grid) : 0.0;
-    std::printf("\n== Deterministic: per-rank transpose Alltoallv bytes ==\n");
-    std::printf("flat 4 ranks: %zu B; 2x2 grid comm: %zu B; ratio %.3f\n"
-                "(band groups shrink the rendezvous and the wire volume)\n",
-                flat, grid, ratio);
-    json.add("comm_volume_2d", "ranks:4/groups:2", 0.0, ratio);
-  }
 
   if (!json_path.empty()) json.write(json_path);
   return 0;

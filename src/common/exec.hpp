@@ -422,10 +422,6 @@ enum class Slot : std::size_t {
   // Wavefunction transpose pack/unpack wire buffers.
   trans_send,
   trans_recv,
-  // HierComm staged ordered allreduce: grid-level and world-level gathered
-  // partial vectors (parallel/hier_comm.cpp).
-  hier_group,
-  hier_world,
   // Per-band norm/scalar slots (LOBPCG residuals, CN residual norms).
   band_norms,
   // LOBPCG per-iteration blocks.

@@ -56,6 +56,62 @@ std::uint32_t unpack_u32(const std::uint8_t in[4]) {
   return v;
 }
 
+// --- payload cursors -------------------------------------------------------
+
+void PutBuf::u32(std::uint32_t v) {
+  std::uint8_t b[4];
+  pack_u32(v, b);
+  b_.insert(b_.end(), b, b + 4);
+}
+
+void PutBuf::u64(std::uint64_t v) {
+  std::uint8_t b[8];
+  pack_u64(v, b);
+  b_.insert(b_.end(), b, b + 8);
+}
+
+void PutBuf::f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
+
+void PutBuf::str(const std::string& s) {
+  u32(static_cast<std::uint32_t>(s.size()));
+  b_.insert(b_.end(), s.begin(), s.end());
+}
+
+bool GetBuf::take(std::size_t n) {
+  if (!ok_ || n > n_ - pos_) {
+    ok_ = false;
+    return false;
+  }
+  pos_ += n;
+  return true;
+}
+
+std::uint8_t GetBuf::u8() {
+  const std::size_t at = pos_;
+  return take(1) ? p_[at] : 0;
+}
+
+std::uint32_t GetBuf::u32() {
+  const std::size_t at = pos_;
+  return take(4) ? unpack_u32(p_ + at) : 0;
+}
+
+std::uint64_t GetBuf::u64() {
+  const std::size_t at = pos_;
+  return take(8) ? unpack_u64(p_ + at) : 0;
+}
+
+double GetBuf::f64() { return std::bit_cast<double>(u64()); }
+
+std::string GetBuf::str() {
+  const std::uint32_t len = u32();
+  const std::size_t at = pos_;
+  if (!take(len)) return {};
+  return std::string(reinterpret_cast<const char*>(p_ + at), len);
+}
+
+// --- frame codec -----------------------------------------------------------
+
 void write_header(std::uint8_t out[kHeaderBytes], const Protocol& proto, std::uint32_t type,
                   std::uint64_t payload_len) {
   std::memcpy(out, proto.magic_prefix, 7);

@@ -1,7 +1,7 @@
 #pragma once
 
 /// \file frame.hpp
-/// Shared binary-frame codec and socket transport.
+/// Shared binary-frame codec, payload cursors and socket transport.
 ///
 /// Every byte format of the program is a length-prefixed, FNV-1a-checksummed
 /// frame: the serve front-end (src/serve/wire.cpp) and the multi-process
@@ -97,6 +97,60 @@ std::vector<std::uint8_t> encode(const Protocol& proto, std::uint32_t type,
 /// frame; anything after the footer is kTrailingBytes.
 IoStatus decode(const Protocol& proto, const std::uint8_t* data, std::size_t size,
                 std::uint32_t* type, std::vector<std::uint8_t>* payload);
+
+// --- payload cursors -------------------------------------------------------
+// Field-level payload codec: serve messages and spec snapshots
+// (serve/wire.hpp) and SocketComm's rendezvous handshakes build and parse
+// their payloads with these two classes.
+
+/// Little-endian payload builder. i32/i64 travel as their two's-complement
+/// bit patterns; f64 as the IEEE-754 image (std::bit_cast), so encode →
+/// decode is bit-exact — the property the restart-resume path relies on.
+class PutBuf {
+ public:
+  void u8(std::uint8_t v) { b_.push_back(v); }
+  void u32(std::uint32_t v);
+  void u64(std::uint64_t v);
+  void i32(std::int32_t v) { u32(static_cast<std::uint32_t>(v)); }
+  void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
+  void f64(double v);
+  void boolean(bool v) { u8(v ? 1 : 0); }
+  void str(const std::string& s);
+  const std::vector<std::uint8_t>& bytes() const { return b_; }
+
+ private:
+  std::vector<std::uint8_t> b_;
+};
+
+/// Bounds-checked payload reader. An overrun latches !ok() and every later
+/// read returns zero values; callers check ok() (and exhausted(), to reject
+/// trailing bytes) once at the end instead of after every field.
+class GetBuf {
+ public:
+  GetBuf(const std::uint8_t* data, std::size_t size) : p_(data), n_(size) {}
+  explicit GetBuf(const std::vector<std::uint8_t>& v) : GetBuf(v.data(), v.size()) {}
+  /// The reader keeps a pointer into the bytes: a temporary would dangle.
+  explicit GetBuf(std::vector<std::uint8_t>&&) = delete;
+
+  std::uint8_t u8();
+  std::uint32_t u32();
+  std::uint64_t u64();
+  std::int32_t i32() { return static_cast<std::int32_t>(u32()); }
+  std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
+  double f64();
+  bool boolean() { return u8() != 0; }
+  std::string str();
+
+  bool ok() const { return ok_; }
+  bool exhausted() const { return ok_ && pos_ == n_; }
+
+ private:
+  bool take(std::size_t n);  ///< advances pos_ or latches the failure
+  const std::uint8_t* p_;
+  std::size_t n_;
+  std::size_t pos_ = 0;
+  bool ok_ = true;
+};
 
 // --- fd transport ----------------------------------------------------------
 

@@ -31,7 +31,7 @@ class AceOperator {
   /// exact Fock apply on Phi plus dense linear algebra in the G-space
   /// layout. Collective. Deterministic: serial dense algebra on G-layout
   /// blocks produced by the (bit-identical) transpose, so the result is
-  /// identical across thread width, pipeline mode, and HierComm layout
+  /// identical across thread width, pipeline mode, and Comm backend
   /// whenever the Fock apply is (docs/threading.md).
   void build(FockOperator& fock, const CMatrix& phi_local, par::Comm& comm);
 

@@ -65,9 +65,4 @@ void SerialComm::recv_bytes(void*, std::size_t, int, int) {
 
 std::unique_ptr<Comm> SerialComm::dup() { return std::make_unique<SerialComm>(); }
 
-std::unique_ptr<Comm> SerialComm::split(int /*color*/, int /*key*/) {
-  // The one rank is alone in its color group whatever the color is.
-  return std::make_unique<SerialComm>();
-}
-
 }  // namespace pwdft::par

@@ -6,10 +6,14 @@
 /// All distributed algorithms in this library (Alg. 2 Fock broadcast
 /// pipeline, Alg. 3 residual evaluation, density Allreduce, wavefunction
 /// transposes) are written against this interface, exactly as the paper's
-/// PWDFT is written against MPI. Two implementations exist:
+/// PWDFT is written against MPI. Three implementations exist:
 ///   - SerialComm: the 1-rank case, all ops are local no-ops/copies;
 ///   - ThreadComm: N ranks as threads in one process with rendezvous
-///     collectives (see thread_comm.hpp).
+///     collectives (see thread_comm.hpp);
+///   - SocketComm: N ranks as OS processes over a socket mesh (see
+///     socket_comm.hpp).
+/// The engine runs one flat communicator over all ranks; dup() is the one
+/// way to obtain an independent rendezvous domain on the same rank set.
 /// Every operation records call counts, payload bytes, and wall time into
 /// CommStats; the perf model validates its volume formulas (paper §7)
 /// against these measured numbers.
@@ -105,15 +109,6 @@ class Comm {
   /// if the traffic should be accounted together.
   virtual std::unique_ptr<Comm> dup() = 0;
 
-  /// Collective: partitions the ranks into sub-communicators, one per
-  /// distinct `color` (MPI_Comm_split; every rank must pass a valid color —
-  /// there is no MPI_UNDEFINED opt-out). Within a color, new ranks are
-  /// assigned by ascending (key, parent rank). The sub-communicator owns an
-  /// independent rendezvous domain, so its collectives never interleave
-  /// with the parent's or a sibling color's — two band groups can run their
-  /// grid-level transposes concurrently (see par::HierComm).
-  virtual std::unique_ptr<Comm> split(int color, int key) = 0;
-
   /// Typed broadcast convenience.
   template <typename T>
   void bcast(T* data, std::size_t count, int root) {
@@ -144,7 +139,6 @@ class SerialComm final : public Comm {
   void send_bytes(const void* data, std::size_t bytes, int dest, int tag) override;
   void recv_bytes(void* data, std::size_t bytes, int src, int tag) override;
   std::unique_ptr<Comm> dup() override;
-  std::unique_ptr<Comm> split(int color, int key) override;
 };
 
 }  // namespace pwdft::par

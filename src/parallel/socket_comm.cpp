@@ -89,7 +89,7 @@ void set_sock_opts(int fd, int timeout_ms) {
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);  // no-op on unix sockets
 }
 
-/// Where this communicator (and its dup()/split() offspring) place their
+/// Where this communicator (and its dup() offspring) place their
 /// mesh listeners: same transport as the rendezvous address.
 std::string mesh_hint_from(const std::string& rendezvous) {
   if (rendezvous.rfind("unix:", 0) == 0) {
@@ -155,38 +155,6 @@ int dial_deadline(const std::string& address, Clock::time_point deadline, const 
   }
 }
 
-void append_u32(std::vector<std::uint8_t>& b, std::uint32_t v) {
-  std::uint8_t tmp[4];
-  frame::pack_u32(v, tmp);
-  b.insert(b.end(), tmp, tmp + 4);
-}
-
-void append_str(std::vector<std::uint8_t>& b, const std::string& s) {
-  append_u32(b, static_cast<std::uint32_t>(s.size()));
-  b.insert(b.end(), s.begin(), s.end());
-}
-
-/// Minimal bounds-checked reader for the handshake payloads; any overrun
-/// is a malformed handshake, i.e. kProtocol.
-struct HandshakeReader {
-  const std::uint8_t* p;
-  std::size_t n;
-  std::size_t pos = 0;
-  std::uint32_t u32() {
-    if (n - pos < 4) throw_fault(CommFault::kProtocol, "handshake payload overrun");
-    const std::uint32_t v = frame::unpack_u32(p + pos);
-    pos += 4;
-    return v;
-  }
-  std::string str() {
-    const std::uint32_t len = u32();
-    if (n - pos < len) throw_fault(CommFault::kProtocol, "handshake payload overrun");
-    std::string s(reinterpret_cast<const char*>(p + pos), len);
-    pos += len;
-    return s;
-  }
-};
-
 void send_handshake(int fd, CommMsg type, const std::vector<std::uint8_t>& payload,
                     const char* what) {
   const frame::IoStatus st = frame::send_frame(fd, kProto, static_cast<std::uint32_t>(type),
@@ -203,6 +171,45 @@ std::vector<std::uint8_t> recv_handshake(int fd, CommMsg want, const char* what)
     throw_fault(CommFault::kProtocol, std::string(what) + ": unexpected handshake frame type " +
                                           std::to_string(type));
   return payload;
+}
+
+/// A handshake payload must parse whole: an overrun or trailing bytes is a
+/// malformed handshake, i.e. kProtocol.
+void expect_whole(const frame::GetBuf& in, const char* what) {
+  if (!in.exhausted())
+    throw_fault(CommFault::kProtocol, std::string(what) + ": malformed handshake payload");
+}
+
+/// Dial-lower / accept-higher mesh construction among `addrs` (indexed by
+/// rank; own slot ignored). `fds` enters holding the lower-rank peers that
+/// are already connected — the join edge to rank 0 during connect(), none
+/// for dup() — which are not dialled again, and leaves as the full table,
+/// -1 at my_rank. Dials complete against the peer's listen backlog even
+/// before it reaches accept(), so the order is deadlock-free.
+std::vector<int> build_mesh(int my_rank, const std::vector<std::string>& addrs, int listen_fd,
+                            std::vector<int> fds, int timeout_ms, Clock::time_point deadline) {
+  const int nmem = static_cast<int>(addrs.size());
+  for (int b = 0; b < my_rank; ++b) {
+    if (fds[b] != -1) continue;
+    fds[b] = dial_deadline(addrs[b], deadline, "mesh");
+    set_sock_opts(fds[b], timeout_ms);
+    frame::PutBuf ident;
+    ident.u32(static_cast<std::uint32_t>(my_rank));
+    send_handshake(fds[b], CommMsg::kIdent, ident.bytes(), "mesh");
+  }
+  for (int count = my_rank + 1; count < nmem; ++count) {
+    const int fd = accept_deadline(listen_fd, deadline, "mesh");
+    set_sock_opts(fd, timeout_ms);
+    const std::vector<std::uint8_t> pay = recv_handshake(fd, CommMsg::kIdent, "mesh");
+    frame::GetBuf in(pay);
+    const std::uint32_t r = in.u32();
+    expect_whole(in, "mesh");
+    if (r <= static_cast<std::uint32_t>(my_rank) || r >= static_cast<std::uint32_t>(nmem) ||
+        fds[r] != -1)
+      throw_fault(CommFault::kProtocol, "mesh: duplicate or bad peer rank " + std::to_string(r));
+    fds[r] = fd;
+  }
+  return fds;
 }
 
 }  // namespace
@@ -259,10 +266,11 @@ std::unique_ptr<SocketComm> SocketComm::connect(int rank, int nranks,
       const int fd = accept_deadline(rv.fd, deadline, "rendezvous");
       set_sock_opts(fd, opts.timeout_ms);
       const std::vector<std::uint8_t> pay = recv_handshake(fd, CommMsg::kJoin, "rendezvous");
-      HandshakeReader in{pay.data(), pay.size()};
+      frame::GetBuf in(pay);
       const std::uint32_t r = in.u32();
       const std::uint32_t n = in.u32();
       const std::string addr = in.str();
+      expect_whole(in, "rendezvous");
       if (n != static_cast<std::uint32_t>(nranks))
         throw_fault(CommFault::kProtocol, "rendezvous: peer expects " + std::to_string(n) +
                                               " ranks, this rank expects " +
@@ -274,10 +282,11 @@ std::unique_ptr<SocketComm> SocketComm::connect(int rank, int nranks,
       addrs[r] = addr;
     }
     rv.close();
-    std::vector<std::uint8_t> table;
-    append_u32(table, static_cast<std::uint32_t>(nranks));
-    for (const std::string& a : addrs) append_str(table, a);
-    for (int r = 1; r < nranks; ++r) send_handshake(fds[r], CommMsg::kTable, table, "rendezvous");
+    frame::PutBuf table;
+    table.u32(static_cast<std::uint32_t>(nranks));
+    for (const std::string& a : addrs) table.str(a);
+    for (int r = 1; r < nranks; ++r)
+      send_handshake(fds[r], CommMsg::kTable, table.bytes(), "rendezvous");
   } else {
     // The peer mesh among ranks >= 1: rank j accepts from ranks > j and
     // dials ranks in [1, j); the (0, j) edges are the join connections.
@@ -285,39 +294,21 @@ std::unique_ptr<SocketComm> SocketComm::connect(int rank, int nranks,
     ListenerGuard mesh_guard{mesh};
     const int fd0 = dial_deadline(rendezvous, deadline, "rendezvous");
     set_sock_opts(fd0, opts.timeout_ms);
-    std::vector<std::uint8_t> join;
-    append_u32(join, static_cast<std::uint32_t>(rank));
-    append_u32(join, static_cast<std::uint32_t>(nranks));
-    append_str(join, mesh.address);
-    send_handshake(fd0, CommMsg::kJoin, join, "rendezvous");
+    frame::PutBuf join;
+    join.u32(static_cast<std::uint32_t>(rank));
+    join.u32(static_cast<std::uint32_t>(nranks));
+    join.str(mesh.address);
+    send_handshake(fd0, CommMsg::kJoin, join.bytes(), "rendezvous");
     const std::vector<std::uint8_t> pay = recv_handshake(fd0, CommMsg::kTable, "rendezvous");
-    HandshakeReader in{pay.data(), pay.size()};
+    frame::GetBuf in(pay);
     const std::uint32_t n = in.u32();
     if (n != static_cast<std::uint32_t>(nranks))
       throw_fault(CommFault::kProtocol, "rendezvous: table size mismatch");
     std::vector<std::string> addrs(nranks);
     for (int r = 0; r < nranks; ++r) addrs[r] = in.str();
+    expect_whole(in, "rendezvous");
     fds[0] = fd0;
-
-    for (int b = 1; b < rank; ++b) {
-      fds[b] = dial_deadline(addrs[b], deadline, "mesh");
-      set_sock_opts(fds[b], opts.timeout_ms);
-      std::vector<std::uint8_t> ident;
-      append_u32(ident, static_cast<std::uint32_t>(rank));
-      send_handshake(fds[b], CommMsg::kIdent, ident, "mesh");
-    }
-    for (int count = rank + 1; count < nranks; ++count) {
-      const int fd = accept_deadline(mesh.fd, deadline, "mesh");
-      set_sock_opts(fd, opts.timeout_ms);
-      const std::vector<std::uint8_t> ip = recv_handshake(fd, CommMsg::kIdent, "mesh");
-      HandshakeReader ir{ip.data(), ip.size()};
-      const std::uint32_t r = ir.u32();
-      if (r <= static_cast<std::uint32_t>(rank) || r >= static_cast<std::uint32_t>(nranks) ||
-          fds[r] != -1)
-        throw_fault(CommFault::kProtocol,
-                    "mesh: duplicate or bad peer rank " + std::to_string(r));
-      fds[r] = fd;
-    }
+    fds = build_mesh(rank, addrs, mesh.fd, std::move(fds), opts.timeout_ms, deadline);
     mesh.close();
   }
   return std::unique_ptr<SocketComm>(new SocketComm(rank, std::move(fds), opts, hint));
@@ -670,11 +661,11 @@ void SocketComm::recv_bytes(void* data, std::size_t bytes, int src, int tag) {
   }
 }
 
-// --- dup / split -----------------------------------------------------------
+// --- dup -------------------------------------------------------------------
 
-std::vector<std::vector<std::uint8_t>> SocketComm::allgather_var(
-    const std::vector<std::uint8_t>& mine) {
+std::vector<std::string> SocketComm::allgather_addresses(const std::string& mine) {
   const int np = size();
+  // Two allgatherv rounds: the fixed-size lengths, then the addresses.
   std::vector<std::uint8_t> lens(static_cast<std::size_t>(np) * 8);
   std::uint8_t mylen[8];
   frame::pack_u64(mine.size(), mylen);
@@ -687,50 +678,12 @@ std::vector<std::vector<std::uint8_t>> SocketComm::allgather_var(
     displs[r] = total;
     total += counts[r];
   }
-  std::vector<std::uint8_t> all(total);
-  allgatherv_bytes(mine.data(), mine.size(), all.data(), counts.data(), displs.data());
-  std::vector<std::vector<std::uint8_t>> out(np);
-  for (int r = 0; r < np; ++r)
-    out[r].assign(all.begin() + static_cast<std::ptrdiff_t>(displs[r]),
-                  all.begin() + static_cast<std::ptrdiff_t>(displs[r] + counts[r]));
+  std::string all(total, '\0');
+  allgatherv_bytes(reinterpret_cast<const unsigned char*>(mine.data()), mine.size(),
+                   reinterpret_cast<unsigned char*>(all.data()), counts.data(), displs.data());
+  std::vector<std::string> out(np);
+  for (int r = 0; r < np; ++r) out[r] = all.substr(displs[r], counts[r]);
   return out;
-}
-
-std::vector<std::string> SocketComm::allgather_addresses(const std::string& mine) {
-  const std::vector<std::vector<std::uint8_t>> blobs =
-      allgather_var(std::vector<std::uint8_t>(mine.begin(), mine.end()));
-  std::vector<std::string> out(blobs.size());
-  for (std::size_t r = 0; r < blobs.size(); ++r)
-    out[r].assign(blobs[r].begin(), blobs[r].end());
-  return out;
-}
-
-std::vector<int> SocketComm::build_mesh(int my_rank, const std::vector<std::string>& addrs,
-                                        int listen_fd) {
-  const int nmem = static_cast<int>(addrs.size());
-  const auto deadline = deadline_from(opts_.timeout_ms);
-  std::vector<int> fds(nmem, -1);
-  // Dial-lower / accept-higher: dials complete against the peer's listen
-  // backlog even before it reaches accept(), so the order is deadlock-free.
-  for (int b = 0; b < my_rank; ++b) {
-    fds[b] = dial_deadline(addrs[b], deadline, "mesh");
-    set_sock_opts(fds[b], opts_.timeout_ms);
-    std::vector<std::uint8_t> ident;
-    append_u32(ident, static_cast<std::uint32_t>(my_rank));
-    send_handshake(fds[b], CommMsg::kIdent, ident, "mesh");
-  }
-  for (int count = my_rank + 1; count < nmem; ++count) {
-    const int fd = accept_deadline(listen_fd, deadline, "mesh");
-    set_sock_opts(fd, opts_.timeout_ms);
-    const std::vector<std::uint8_t> pay = recv_handshake(fd, CommMsg::kIdent, "mesh");
-    HandshakeReader in{pay.data(), pay.size()};
-    const std::uint32_t r = in.u32();
-    if (r <= static_cast<std::uint32_t>(my_rank) || r >= static_cast<std::uint32_t>(nmem) ||
-        fds[r] != -1)
-      throw_fault(CommFault::kProtocol, "mesh: duplicate or bad peer rank " + std::to_string(r));
-    fds[r] = fd;
-  }
-  return fds;
 }
 
 std::unique_ptr<Comm> SocketComm::dup() {
@@ -742,52 +695,10 @@ std::unique_ptr<Comm> SocketComm::dup() {
   // Publish every rank's fresh listener over the parent, then rebuild the
   // full mesh on new sockets — an independent rendezvous domain.
   const std::vector<std::string> addrs = allgather_addresses(mesh.address);
-  std::vector<int> fds = build_mesh(rank_, addrs, mesh.fd);
+  std::vector<int> fds = build_mesh(rank_, addrs, mesh.fd, std::vector<int>(size(), -1),
+                                    opts_.timeout_ms, deadline_from(opts_.timeout_ms));
   mesh.close();
   return std::unique_ptr<SocketComm>(new SocketComm(rank_, std::move(fds), opts_, mesh_hint_));
-}
-
-std::unique_ptr<Comm> SocketComm::split(int color, int key) {
-  frame::Listener mesh = open_mesh_listener(mesh_hint_);
-  ListenerGuard mesh_guard{mesh};
-  // Publish (color, key, listener address) from every rank over the parent.
-  std::vector<std::uint8_t> mine;
-  append_u32(mine, static_cast<std::uint32_t>(color));
-  append_u32(mine, static_cast<std::uint32_t>(key));
-  append_str(mine, mesh.address);
-  const std::vector<std::vector<std::uint8_t>> blobs = allgather_var(mine);
-
-  // Members of my color ordered by (key, parent rank) — the MPI_Comm_split
-  // rank rule, identical to ThreadComm::split.
-  struct Member {
-    int key;
-    int parent;
-    std::string addr;
-  };
-  std::vector<Member> members;
-  for (int r = 0; r < size(); ++r) {
-    HandshakeReader in{blobs[r].data(), blobs[r].size()};
-    const int c = static_cast<int>(in.u32());
-    const int k = static_cast<int>(in.u32());
-    const std::string addr = in.str();
-    if (c == color) members.push_back({k, r, addr});
-  }
-  std::sort(members.begin(), members.end(), [](const Member& a, const Member& b) {
-    return a.key != b.key ? a.key < b.key : a.parent < b.parent;
-  });
-  int new_rank = -1;
-  std::vector<std::string> addrs;
-  for (std::size_t i = 0; i < members.size(); ++i) {
-    addrs.push_back(members[i].addr);
-    if (members[i].parent == rank_) new_rank = static_cast<int>(i);
-  }
-  PWDFT_CHECK(new_rank >= 0, "split: rank not in its own color group");
-
-  std::vector<int> fds = members.size() == 1 ? std::vector<int>{-1}
-                                             : build_mesh(new_rank, addrs, mesh.fd);
-  mesh.close();
-  return std::unique_ptr<SocketComm>(
-      new SocketComm(new_rank, std::move(fds), opts_, mesh_hint_));
 }
 
 // --- SocketGroup -----------------------------------------------------------

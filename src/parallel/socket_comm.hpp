@@ -18,9 +18,8 @@
 /// order 0..P-1 — the identical summation order as ThreadComm's
 /// rendezvous allreduce — and broadcasts the result bytes. All collectives
 /// are therefore bit-identical to the same program on ThreadComm
-/// (pinned by tests/comm_conformance.hpp), and HierComm /
-/// TransposeOverlap, written against the Comm interface, inherit the
-/// backend for free.
+/// (pinned by tests/comm_conformance.hpp), and TransposeOverlap, written
+/// against the Comm interface, inherits the backend for free.
 ///
 /// Failure semantics: every blocking operation carries the
 /// SocketCommOptions timeout (socket receive/send timeouts plus poll
@@ -112,11 +111,6 @@ class SocketComm final : public Comm {
   /// contract).
   std::unique_ptr<Comm> dup() override;
 
-  /// Collective: partitions the ranks by `color`; within a color, new
-  /// ranks are ordered by (key, parent rank) — the MPI_Comm_split rule —
-  /// and each group builds its own mesh (HierComm's substrate).
-  std::unique_ptr<Comm> split(int color, int key) override;
-
   /// Fault injection for the conformance harness: the NEXT outbound
   /// collective frame is damaged after encoding (so the checksum no longer
   /// matches) or cut off mid-frame. The receiving peer must observe a
@@ -139,18 +133,13 @@ class SocketComm final : public Comm {
   /// one) without blocking either direction — the alltoallv exchange step.
   void duplex_exchange(int dst, const std::uint8_t* out, std::size_t out_n, int src,
                        std::uint8_t* in, std::size_t in_n);
-  /// All ranks' variable-length payloads, in rank order (two allgatherv
-  /// rounds: fixed-size lengths, then the data) — dup()/split() substrate.
-  std::vector<std::vector<std::uint8_t>> allgather_var(const std::vector<std::uint8_t>& mine);
+  /// Every rank's listener address, in rank order — dup()'s rendezvous.
   std::vector<std::string> allgather_addresses(const std::string& mine);
-  /// Dial-lower/accept-higher mesh construction among `addrs` (indexed by
-  /// new rank; own slot ignored). Returns the fd table with -1 at my_rank.
-  std::vector<int> build_mesh(int my_rank, const std::vector<std::string>& addrs, int listen_fd);
 
   int rank_ = 0;
   std::vector<int> fds_;  ///< peer fd per rank; own slot is -1
   SocketCommOptions opts_;
-  /// "unix:<dir>" or "tcp:<host>": where dup()/split() listeners go.
+  /// "unix:<dir>" or "tcp:<host>": where dup() listeners go.
   std::string mesh_hint_;
   std::uint64_t seq_ = 0;  ///< collective call counter, validated per frame
   Inject inject_ = Inject::kNone;

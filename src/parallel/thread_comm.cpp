@@ -1,6 +1,5 @@
 #include "parallel/thread_comm.hpp"
 
-#include <algorithm>
 #include <barrier>
 #include <cstring>
 #include <exception>
@@ -172,42 +171,6 @@ std::unique_ptr<Comm> ThreadComm::dup() {
     next = *static_cast<const std::shared_ptr<SharedState>*>(shared_->ptrs[0]);
   shared_->sync.arrive_and_wait();
   return std::make_unique<ThreadComm>(std::move(next), rank_);
-}
-
-std::unique_ptr<Comm> ThreadComm::split(int color, int key) {
-  // Round 1: every rank publishes its (color, key) pair through the parent's
-  // rendezvous area; everyone reads all pairs, so the membership and the new
-  // rank order of every color group are known identically on all ranks.
-  const int np = size();
-  const std::array<int, 2> mine{color, key};
-  shared_->ptrs[rank_] = mine.data();
-  shared_->sync.arrive_and_wait();
-  // Members of my color, ordered by (key, parent rank) — the MPI_Comm_split
-  // rank rule. BlockPartition-style stability: parent rank breaks key ties.
-  std::vector<std::pair<int, int>> members;  // (key, parent rank)
-  for (int r = 0; r < np; ++r) {
-    const int* p = static_cast<const int*>(shared_->ptrs[r]);
-    if (p[0] == color) members.emplace_back(p[1], r);
-  }
-  shared_->sync.arrive_and_wait();  // all ranks finished reading the pairs
-  std::sort(members.begin(), members.end());
-  int new_rank = -1;
-  for (std::size_t i = 0; i < members.size(); ++i)
-    if (members[i].second == rank_) new_rank = static_cast<int>(i);
-  PWDFT_CHECK(new_rank >= 0, "split: rank not in its own color group");
-  const int leader = members[0].second;  // parent rank of the group's rank 0
-
-  // Round 2: each group's leader allocates the group's rendezvous area and
-  // publishes the shared_ptr's address; members copy it (the ref-count keeps
-  // it alive for everyone), exactly the dup() handshake per color.
-  std::shared_ptr<SharedState> next;
-  if (rank_ == leader) next = std::make_shared<SharedState>(static_cast<int>(members.size()));
-  shared_->ptrs[rank_] = &next;
-  shared_->sync.arrive_and_wait();
-  if (rank_ != leader)
-    next = *static_cast<const std::shared_ptr<SharedState>*>(shared_->ptrs[leader]);
-  shared_->sync.arrive_and_wait();
-  return std::make_unique<ThreadComm>(std::move(next), new_rank);
 }
 
 std::vector<CommStats> ThreadGroup::run(int nranks, const RankFn& fn) {

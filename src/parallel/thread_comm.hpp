@@ -49,9 +49,6 @@ class ThreadComm final : public Comm {
   /// shares the rank set but owns a fresh rendezvous area, so its
   /// collectives never interleave with the parent's.
   std::unique_ptr<Comm> dup() override;
-  /// Collective: all ranks call split() at the same point; each color group
-  /// gets a fresh rendezvous area of its own size.
-  std::unique_ptr<Comm> split(int color, int key) override;
 
  private:
   template <typename T>

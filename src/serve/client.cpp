@@ -14,7 +14,7 @@ namespace {
 /// Decodes a kError frame; falls back to kBadFrame when even that payload
 /// is malformed.
 void decode_error(const wire::Frame& frame, ErrorCode* code, std::string* message) {
-  wire::GetBuf in(frame.payload);
+  frame::GetBuf in(frame.payload);
   const auto c = static_cast<ErrorCode>(in.u32());
   std::string m = in.str();
   if (!in.exhausted()) {
@@ -37,7 +37,7 @@ SubmitResult submit_reply(ErrorCode rc, const wire::Frame& frame) {
     decode_error(frame, &r.error, &r.message);
     return r;
   }
-  wire::GetBuf in(frame.payload);
+  frame::GetBuf in(frame.payload);
   const std::uint64_t id = in.u64();
   if (frame.type != wire::MsgType::kSubmitOk || !in.exhausted()) {
     r.error = ErrorCode::kBadFrame;
@@ -51,7 +51,7 @@ SubmitResult submit_reply(ErrorCode rc, const wire::Frame& frame) {
 /// Decodes a kStatus frame into (final, status); false on malformed bytes.
 bool decode_status(const wire::Frame& frame, bool* final, JobStatus* status) {
   if (frame.type != wire::MsgType::kStatus) return false;
-  wire::GetBuf in(frame.payload);
+  frame::GetBuf in(frame.payload);
   *final = in.u8() != 0;
   return wire::get_status(in, status) && in.exhausted();
 }
@@ -84,7 +84,7 @@ ErrorCode ack_reply(ErrorCode rc, const wire::Frame& frame) {
     decode_error(frame, &code, &ignored);
     return code;
   }
-  wire::GetBuf in(frame.payload);
+  frame::GetBuf in(frame.payload);
   const auto code = static_cast<ErrorCode>(in.u32());
   if (frame.type != wire::MsgType::kAck || !in.exhausted()) return ErrorCode::kBadFrame;
   return code;
@@ -93,7 +93,7 @@ ErrorCode ack_reply(ErrorCode rc, const wire::Frame& frame) {
 }  // namespace
 
 Client::Client(const std::string& address) : fd_(frame::dial(address)) {
-  wire::PutBuf hello;
+  frame::PutBuf hello;
   hello.u32(wire::kProtocolVersion);
   ErrorCode rc = wire::send_frame(fd_, wire::MsgType::kHello, hello.bytes());
   wire::Frame reply;
@@ -110,7 +110,7 @@ Client::Client(const std::string& address) : fd_(frame::dial(address)) {
     PWDFT_CHECK(false, "server at " << address << " rejected handshake (" << error_name(code)
                                     << "): " << message);
   }
-  wire::GetBuf in(reply.payload);
+  frame::GetBuf in(reply.payload);
   const std::uint32_t version = in.u32();
   if (!in.exhausted() || version != wire::kProtocolVersion) {
     close();
@@ -147,13 +147,13 @@ ErrorCode Client::roundtrip(wire::MsgType type, const std::vector<std::uint8_t>&
 }
 
 ErrorCode Client::id_request(wire::MsgType type, std::size_t id, wire::Frame* reply) {
-  wire::PutBuf p;
+  frame::PutBuf p;
   p.u64(id);
   return roundtrip(type, p.bytes(), reply);
 }
 
 SubmitResult Client::submit(const JobSpec& spec) {
-  wire::PutBuf p;
+  frame::PutBuf p;
   wire::put_spec(p, spec);
   wire::Frame reply;
   return submit_reply(roundtrip(wire::MsgType::kSubmit, p.bytes(), &reply), reply);
@@ -185,7 +185,7 @@ SubmitResult Client::resume(std::size_t id) {
 }
 
 SubmitResult Client::resume(const std::string& name) {
-  wire::PutBuf p;
+  frame::PutBuf p;
   p.str(name);
   wire::Frame reply;
   return submit_reply(roundtrip(wire::MsgType::kResumeNameReq, p.bytes(), &reply), reply);

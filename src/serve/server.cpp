@@ -12,27 +12,27 @@ namespace pwdft::serve {
 namespace {
 
 ErrorCode send_error_frame(int fd, ErrorCode code, const std::string& message) {
-  wire::PutBuf p;
+  frame::PutBuf p;
   p.u32(static_cast<std::uint32_t>(code));
   p.str(message);
   return wire::send_frame(fd, wire::MsgType::kError, p.bytes());
 }
 
 ErrorCode send_ack(int fd, ErrorCode code) {
-  wire::PutBuf p;
+  frame::PutBuf p;
   p.u32(static_cast<std::uint32_t>(code));
   return wire::send_frame(fd, wire::MsgType::kAck, p.bytes());
 }
 
 ErrorCode send_submit_result(int fd, const SubmitResult& r) {
   if (!r.ok()) return send_error_frame(fd, r.error, r.message);
-  wire::PutBuf p;
+  frame::PutBuf p;
   p.u64(r.id);
   return wire::send_frame(fd, wire::MsgType::kSubmitOk, p.bytes());
 }
 
 ErrorCode send_status(int fd, bool final, const JobStatus& status) {
-  wire::PutBuf p;
+  frame::PutBuf p;
   p.u8(final ? 1 : 0);
   wire::put_status(p, status);
   return wire::send_frame(fd, wire::MsgType::kStatus, p.bytes());
@@ -106,7 +106,7 @@ void Server::serve_connection(int fd) {
   } else if (frame.type != wire::MsgType::kHello) {
     send_error_frame(fd, ErrorCode::kBadFrame, "expected a hello frame first");
   } else {
-    wire::GetBuf in(frame.payload);
+    frame::GetBuf in(frame.payload);
     const std::uint32_t version = in.u32();
     if (!in.exhausted()) {
       send_error_frame(fd, ErrorCode::kBadFrame, "malformed hello payload");
@@ -116,7 +116,7 @@ void Server::serve_connection(int fd) {
                            std::to_string(wire::kProtocolVersion) + ", client sent " +
                            std::to_string(version));
     } else {
-      wire::PutBuf p;
+      frame::PutBuf p;
       p.u32(wire::kProtocolVersion);
       ok = wire::send_frame(fd, wire::MsgType::kHelloOk, p.bytes()) == ErrorCode::kOk;
     }
@@ -145,7 +145,7 @@ void Server::serve_connection(int fd) {
 
 bool Server::handle(int fd, const wire::Frame& frame) {
   using wire::MsgType;
-  wire::GetBuf in(frame.payload);
+  frame::GetBuf in(frame.payload);
   switch (frame.type) {
     case MsgType::kSubmit: {
       JobSpec spec;

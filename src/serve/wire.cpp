@@ -1,7 +1,6 @@
 #include "serve/wire.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cerrno>
 #include <cstring>
 
@@ -43,60 +42,6 @@ ErrorCode to_error(frame::IoStatus s) {
 
 }  // namespace
 
-// --- cursors ---------------------------------------------------------------
-
-void PutBuf::u32(std::uint32_t v) {
-  std::uint8_t b[4];
-  frame::pack_u32(v, b);
-  b_.insert(b_.end(), b, b + 4);
-}
-
-void PutBuf::u64(std::uint64_t v) {
-  std::uint8_t b[8];
-  frame::pack_u64(v, b);
-  b_.insert(b_.end(), b, b + 8);
-}
-
-void PutBuf::f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
-
-void PutBuf::str(const std::string& s) {
-  u32(static_cast<std::uint32_t>(s.size()));
-  b_.insert(b_.end(), s.begin(), s.end());
-}
-
-bool GetBuf::take(std::size_t n) {
-  if (!ok_ || n > n_ - pos_) {
-    ok_ = false;
-    return false;
-  }
-  pos_ += n;
-  return true;
-}
-
-std::uint8_t GetBuf::u8() {
-  const std::size_t at = pos_;
-  return take(1) ? p_[at] : 0;
-}
-
-std::uint32_t GetBuf::u32() {
-  const std::size_t at = pos_;
-  return take(4) ? frame::unpack_u32(p_ + at) : 0;
-}
-
-std::uint64_t GetBuf::u64() {
-  const std::size_t at = pos_;
-  return take(8) ? frame::unpack_u64(p_ + at) : 0;
-}
-
-double GetBuf::f64() { return std::bit_cast<double>(u64()); }
-
-std::string GetBuf::str() {
-  const std::uint32_t len = u32();
-  const std::size_t at = pos_;
-  if (!take(len)) return {};
-  return std::string(reinterpret_cast<const char*>(p_ + at), len);
-}
-
 // --- frame codec -----------------------------------------------------------
 
 std::vector<std::uint8_t> encode_frame(MsgType type, const std::vector<std::uint8_t>& payload) {
@@ -114,7 +59,7 @@ ErrorCode decode_frame(const std::uint8_t* data, std::size_t size, Frame* out,
 
 // --- message payload codecs ------------------------------------------------
 
-void put_spec(PutBuf& out, const JobSpec& spec) {
+void put_spec(frame::PutBuf& out, const JobSpec& spec) {
   out.str(spec.name);
   out.u32(static_cast<std::uint32_t>(spec.kind));
   out.i32(spec.priority);
@@ -156,7 +101,7 @@ void put_spec(PutBuf& out, const JobSpec& spec) {
   out.f64(spec.ptcn.mts_drift_tol);
 }
 
-bool get_spec(GetBuf& in, JobSpec* spec) {
+bool get_spec(frame::GetBuf& in, JobSpec* spec) {
   JobSpec s;
   s.name = in.str();
   s.kind = static_cast<JobKind>(in.u32());
@@ -202,7 +147,7 @@ bool get_spec(GetBuf& in, JobSpec* spec) {
   return true;
 }
 
-void put_status(PutBuf& out, const JobStatus& status) {
+void put_status(frame::PutBuf& out, const JobStatus& status) {
   out.u32(static_cast<std::uint32_t>(status.state));
   out.u32(static_cast<std::uint32_t>(status.error));
   out.str(status.message);
@@ -215,7 +160,7 @@ void put_status(PutBuf& out, const JobStatus& status) {
   for (const double v : flat) out.f64(v);
 }
 
-bool get_status(GetBuf& in, JobStatus* status) {
+bool get_status(frame::GetBuf& in, JobStatus* status) {
   JobStatus s;
   s.state = static_cast<JobState>(in.u32());
   s.error = static_cast<ErrorCode>(in.u32());
@@ -302,7 +247,7 @@ ErrorCode recv_frame(int fd, Frame* out, std::uint64_t max_payload) {
 // --- durable spec snapshots ------------------------------------------------
 
 void save_spec_file(const std::string& path, const JobSpec& spec) {
-  PutBuf payload;
+  frame::PutBuf payload;
   put_spec(payload, spec);
   io::write_frame_file(path, protocol(kMaxFramePayload),
                        static_cast<std::uint32_t>(MsgType::kSpecSnapshot), payload.bytes());
@@ -320,7 +265,7 @@ ErrorCode load_spec_file(const std::string& path, JobSpec* spec, std::string* wh
                                              : std::string(error_name(e)) + " in " + path;
     return e;
   }
-  GetBuf in(payload);
+  frame::GetBuf in(payload);
   JobSpec s;
   if (type != static_cast<std::uint32_t>(MsgType::kSpecSnapshot) || !get_spec(in, &s) ||
       !in.exhausted()) {

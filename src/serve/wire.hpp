@@ -61,55 +61,6 @@ struct Frame {
   std::vector<std::uint8_t> payload;
 };
 
-// --- payload cursors -------------------------------------------------------
-
-/// Little-endian payload builder. i32/i64 travel as their two's-complement
-/// bit patterns; f64 as the IEEE-754 image (std::bit_cast), so encode →
-/// decode is bit-exact — the property the restart-resume path relies on.
-class PutBuf {
- public:
-  void u8(std::uint8_t v) { b_.push_back(v); }
-  void u32(std::uint32_t v);
-  void u64(std::uint64_t v);
-  void i32(std::int32_t v) { u32(static_cast<std::uint32_t>(v)); }
-  void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
-  void f64(double v);
-  void boolean(bool v) { u8(v ? 1 : 0); }
-  void str(const std::string& s);
-  const std::vector<std::uint8_t>& bytes() const { return b_; }
-
- private:
-  std::vector<std::uint8_t> b_;
-};
-
-/// Bounds-checked payload reader. An overrun latches !ok() and every later
-/// read returns zero values; callers check ok() (and exhausted(), to reject
-/// trailing bytes) once at the end instead of after every field.
-class GetBuf {
- public:
-  GetBuf(const std::uint8_t* data, std::size_t size) : p_(data), n_(size) {}
-  explicit GetBuf(const std::vector<std::uint8_t>& v) : GetBuf(v.data(), v.size()) {}
-
-  std::uint8_t u8();
-  std::uint32_t u32();
-  std::uint64_t u64();
-  std::int32_t i32() { return static_cast<std::int32_t>(u32()); }
-  std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
-  double f64();
-  bool boolean() { return u8() != 0; }
-  std::string str();
-
-  bool ok() const { return ok_; }
-  bool exhausted() const { return ok_ && pos_ == n_; }
-
- private:
-  bool take(std::size_t n);  ///< advances pos_ or latches the failure
-  const std::uint8_t* p_;
-  std::size_t n_;
-  std::size_t pos_ = 0;
-  bool ok_ = true;
-};
-
 // --- frame codec over byte buffers -----------------------------------------
 
 /// Assembles magic + header + payload + checksum into one buffer.
@@ -122,15 +73,15 @@ ErrorCode decode_frame(const std::uint8_t* data, std::size_t size, Frame* out,
 
 // --- message payload codecs ------------------------------------------------
 
-void put_spec(PutBuf& out, const JobSpec& spec);
+void put_spec(frame::PutBuf& out, const JobSpec& spec);
 /// Field-by-field decode; false on overrun (caller maps to kBadFrame).
 /// Performance knobs that are server-side configuration (FockOptions, the
 /// operator pipeline mode) are not on the wire — results are bit-identical
 /// across those modes, so the server's own resolution applies.
-bool get_spec(GetBuf& in, JobSpec* spec);
+bool get_spec(frame::GetBuf& in, JobSpec* spec);
 
-void put_status(PutBuf& out, const JobStatus& status);
-bool get_status(GetBuf& in, JobStatus* status);
+void put_status(frame::PutBuf& out, const JobStatus& status);
+bool get_status(frame::GetBuf& in, JobStatus* status);
 
 // --- trace <-> flat doubles ------------------------------------------------
 // One td::TimePoint = kTracePointDoubles consecutive doubles; shared by the

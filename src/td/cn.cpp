@@ -44,10 +44,7 @@ CnStepReport CnPropagator::step(CMatrix& psi_local, std::span<const double> occ_
   auto rho = ham::compute_density(ham_.setup(), ham_.fft_dense(), psi_local, occ_local, comm,
                                   true, ham_.options().op_pipeline);
   ham_.update_density(rho);
-  const MtsStepDecision mts = mts_.begin_step(ham_, psi_local, occ_global, bands_, comm,
-                                              opt_.mts_interval, opt_.mts_drift_tol);
-  report.exchange_refreshed = ham_.hybrid_enabled() && (!mts.active || mts.refreshed);
-  report.mts_drift = mts.drift;
+  if (ham_.hybrid_enabled()) ham_.set_exchange_orbitals(psi_local, occ_global, bands_, comm);
   CMatrix hpsi;
   ham_.apply(psi_local, hpsi, comm, timers);
 
@@ -61,8 +58,7 @@ CnStepReport CnPropagator::step(CMatrix& psi_local, std::span<const double> occ_
 
   for (int it = 0; it < opt_.max_scf; ++it) {
     ham_.update_density(rho_f);
-    if (ham_.hybrid_enabled() && !mts.active)
-      ham_.set_exchange_orbitals(psi_f, occ_global, bands_, comm);
+    if (ham_.hybrid_enabled()) ham_.set_exchange_orbitals(psi_f, occ_global, bands_, comm);
     ham_.apply(psi_f, hpsi, comm, timers);
 
     // R = Psi_f + i dt/2 H Psi_f - Psi_half — entirely band-local: the plain

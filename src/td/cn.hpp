@@ -31,10 +31,6 @@ struct CnOptions {
   std::size_t anderson_depth = 20;
   double anderson_beta = 1.0;
   bool sp_comm = false;
-  /// Exchange-operator MTS, same semantics as PtCnOptions::mts_interval /
-  /// mts_drift_tol (td/mts.hpp): 0 = legacy per-inner-iteration refresh.
-  int mts_interval = 0;
-  double mts_drift_tol = 1e-3;
 };
 
 struct CnStepReport {
@@ -43,10 +39,6 @@ struct CnStepReport {
   bool converged = false;
   /// Max fixed-point residual norm observed (diagnostic for divergence).
   double max_residual_norm = 0.0;
-  /// MTS: exchange rebuilt at step start / monitored drift (see
-  /// PtCnStepReport).
-  bool exchange_refreshed = false;
-  double mts_drift = 0.0;
 };
 
 class CnPropagator {
@@ -65,7 +57,6 @@ class CnPropagator {
   CnOptions opt_;
   par::WavefunctionTranspose transpose_;
   std::vector<std::unique_ptr<scf::AndersonMixer>> mixers_;
-  MtsScheduler mts_;
 };
 
 }  // namespace pwdft::td

@@ -26,7 +26,6 @@
 
 #include "common/check.hpp"
 #include "parallel/comm.hpp"
-#include "parallel/hier_comm.hpp"
 #include "parallel/socket_comm.hpp"
 #include "parallel/thread_comm.hpp"
 
@@ -249,32 +248,10 @@ inline void check_dup(par::Comm& c) {
   PWDFT_EXPECT_BITEQ(b, eb);
 }
 
-inline void check_split(par::Comm& c) {
-  const int np = c.size();
-  const int color = c.rank() % 2;
-  const int key = -c.rank();  // negative keys: members are ordered by key, so parent order reverses
-  const std::unique_ptr<par::Comm> sub = c.split(color, key);
-  std::vector<int> members;  // parent ranks of my color, in NEW rank order
-  for (int r = np - 1; r >= 0; --r)
-    if (r % 2 == color) members.push_back(r);
-  const int nsub = static_cast<int>(members.size());
-  ASSERT_EQ(sub->size(), nsub);
-  int my_new = -1;
-  for (int i = 0; i < nsub; ++i)
-    if (members[i] == c.rank()) my_new = i;
-  ASSERT_EQ(sub->rank(), my_new);
-  // Collective within the split: fold order is new-rank order.
-  double v = signal(c.rank(), 3);
-  sub->allreduce_sum(&v, 1);
-  double expect = 0;
-  for (int i = 0; i < nsub; ++i) expect += signal(members[i], 3);
-  PWDFT_EXPECT_BITEQ(v, expect);
-}
-
-/// dup()/split() offspring used from a second thread while the parent
+/// A dup() offspring used from a second thread while the parent
 /// communicator keeps running its own collectives — the TransposeOverlap
-/// pattern. Streams must not interleave (satellite: ThreadComm coverage;
-/// also run over SocketComm).
+/// pattern. Streams must not interleave (run over ThreadComm and
+/// SocketComm).
 inline void check_concurrent_dup_collectives(par::Comm& c, int rounds = 16) {
   const std::unique_ptr<par::Comm> d = c.dup();
   std::vector<double> got(rounds);
@@ -300,19 +277,6 @@ inline void check_concurrent_dup_collectives(par::Comm& c, int rounds = 16) {
   }
 }
 
-/// HierComm's staged ordered allreduce over any backend must match the
-/// flat rank-order fold bit for bit.
-inline void check_hier_allreduce(par::Comm& c, int band_groups, std::size_t count = 193) {
-  if (c.size() % band_groups != 0) return;
-  par::HierComm h(c, band_groups);
-  std::vector<double> data(count), expect(count, 0.0);
-  for (std::size_t i = 0; i < count; ++i) data[i] = signal(c.rank(), i);
-  for (int r = 0; r < c.size(); ++r)
-    for (std::size_t i = 0; i < count; ++i) expect[i] += signal(r, i);
-  h.allreduce_sum(data.data(), count);
-  for (std::size_t i = 0; i < count; ++i) PWDFT_EXPECT_BITEQ(data[i], expect[i]);
-}
-
 /// The full sweep a new backend must pass (docs/threading.md checklist).
 inline void check_all_collectives(par::Comm& c) {
   check_allreduce_double(c);
@@ -323,7 +287,6 @@ inline void check_all_collectives(par::Comm& c) {
   check_barrier(c);
   check_p2p(c);
   check_dup(c);
-  check_split(c);
 }
 
 }  // namespace pwdft::test

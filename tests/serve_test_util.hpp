@@ -9,7 +9,6 @@
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -75,15 +74,5 @@ inline std::vector<td::TimePoint> solo_trace(const serve::JobSpec& spec) {
   prop.ptcn = spec.ptcn;
   return sim.propagate(prop);
 }
-
-/// Scratch checkpoint directory, wiped on both ends of the test.
-struct CkptDir {
-  explicit CkptDir(const char* name) : path(std::string("/tmp/pwdft_serve_") + name) {
-    std::filesystem::remove_all(path);
-    std::filesystem::create_directories(path);
-  }
-  ~CkptDir() { std::filesystem::remove_all(path); }
-  std::string path;
-};
 
 }  // namespace pwdft::serve_test

@@ -12,7 +12,7 @@
 #include "common/timer.hpp"
 #include "common/types.hpp"
 #include "serve/job.hpp"
-#include "td/cn.hpp"
+#include "test_helpers.hpp"
 
 namespace pwdft {
 namespace {
@@ -104,7 +104,8 @@ TEST(Table, FormatsAlignedColumns) {
 TEST(Table, WritesCsv) {
   Table t({"a", "b"});
   t.row(1, 2);
-  const std::string path = "/tmp/pwdft_test_table.csv";
+  const test::ScratchDir dir("table");
+  const std::string path = dir.file("t.csv");
   t.write_csv(path);
   std::ifstream f(path);
   std::string line;
@@ -112,7 +113,6 @@ TEST(Table, WritesCsv) {
   EXPECT_EQ(line, "a,b");
   std::getline(f, line);
   EXPECT_EQ(line, "1,2");
-  std::remove(path.c_str());
 }
 
 TEST(Table, CellBeforeRowThrows) {
@@ -186,7 +186,6 @@ TEST(Env, ExchangeOptionDefaultsIgnoreTheEnvironment) {
   EXPECT_FALSE(spec.sim.use_ace);  // spec.sim is a default SimulationOptions
   EXPECT_EQ(spec.sim.ace_refresh, 1);
   EXPECT_EQ(spec.ptcn.mts_interval, 0);  // spec.ptcn is a default PtCnOptions
-  EXPECT_EQ(td::CnOptions{}.mts_interval, 0);
   unsetenv("PWDFT_ACE");
   unsetenv("PWDFT_ACE_REFRESH");
   unsetenv("PWDFT_MTS_INTERVAL");

@@ -3,7 +3,6 @@
 #include "comm_conformance.hpp"
 #include "ham/density.hpp"
 #include "ham/fock.hpp"
-#include "parallel/hier_comm.hpp"
 #include "parallel/thread_comm.hpp"
 #include "parallel/transpose.hpp"
 #include "scf/scf.hpp"
@@ -18,14 +17,15 @@ namespace {
 /// Builds the per-rank context (setup + Hamiltonian); every rank owns its
 /// own FFT plans and Hamiltonian, exactly as every MPI rank of PWDFT does.
 struct RankContext {
-  explicit RankContext(double ecut = 3.0, bool hybrid = true)
+  explicit RankContext(double ecut = 3.0, bool hybrid = true, bool use_ace = false)
       : setup(test::make_si8_setup(ecut, 1)),
         species(pseudo::PseudoSpecies::silicon(true)),
-        options(make_opt(hybrid)),
+        options(make_opt(hybrid, use_ace)),
         hamiltonian(setup, species, options) {}
-  static ham::HamiltonianOptions make_opt(bool hybrid) {
+  static ham::HamiltonianOptions make_opt(bool hybrid, bool use_ace) {
     auto o = test::fast_hybrid_options();
     o.hybrid.enabled = hybrid;
+    o.use_ace = use_ace;
     return o;
   }
   ham::PlanewaveSetup setup;
@@ -219,6 +219,56 @@ TEST_P(DistributedRanks, FullPtCnStepMatchesSerialDensity) {
   });
 }
 
+TEST_P(DistributedRanks, AceMtsPtCnStepMatchesSerialDensity) {
+  // ACE exchange under MTS interval 2 across ranks: step 1 rebuilds the
+  // projectors (ACE build collectives), step 2 applies the frozen
+  // compressed operator behind the drift monitor's Allreduce. Every rank
+  // must take the same refresh decisions, and the two-step density must
+  // match the same two steps on SerialComm to the SCF tolerance.
+  const int np = GetParam();
+  const std::size_t nb = 16;
+  RankContext ref_ctx(3.0, true, /*use_ace=*/true);
+  auto psi_init = test::random_orthonormal(ref_ctx.setup, nb, 47);
+  std::vector<double> occ(nb, 2.0);
+  td::DeltaKick kick({0.0, 0.0, 0.02}, -1.0);
+
+  td::PtCnOptions opt;
+  opt.dt = 1.0;
+  opt.rho_tol = 1e-8;
+  opt.max_scf = 80;
+  opt.sp_comm = false;
+  opt.mts_interval = 2;     // step 2 runs the frozen-exchange path
+  opt.mts_drift_tol = 1e9;  // cadence only: the drift bound never trips
+
+  par::SerialComm serial;
+  CMatrix psi_ref = psi_init;
+  td::PtCnPropagator prop_ref(ref_ctx.hamiltonian, par::BlockPartition(nb, 1), opt, 1);
+  const auto ref0 = prop_ref.step(psi_ref, occ, 0.0, kick, serial);
+  const auto ref1 = prop_ref.step(psi_ref, occ, opt.dt, kick, serial);
+  ASSERT_TRUE(ref0.converged && ref1.converged);
+  ASSERT_TRUE(ref0.exchange_refreshed);
+  ASSERT_FALSE(ref1.exchange_refreshed);
+  auto rho_ref = ham::compute_density(ref_ctx.setup, ref_ctx.hamiltonian.fft_dense(), psi_ref,
+                                      occ, serial);
+
+  par::ThreadGroup::run(np, [&](par::Comm& c) {
+    RankContext ctx(3.0, true, /*use_ace=*/true);
+    par::BlockPartition bands(nb, np);
+    CMatrix psi_loc = test::band_slice(psi_init, bands, c.rank());
+    td::PtCnPropagator prop(ctx.hamiltonian, bands, opt, np);
+    const auto r0 = prop.step(psi_loc, occ, 0.0, kick, c);
+    const auto r1 = prop.step(psi_loc, occ, opt.dt, kick, c);
+    EXPECT_TRUE(r0.converged);
+    EXPECT_TRUE(r1.converged);
+    EXPECT_TRUE(r0.exchange_refreshed) << "rank " << c.rank();
+    EXPECT_FALSE(r1.exchange_refreshed) << "rank " << c.rank();
+    std::span<const double> occ_loc(occ.data() + bands.offset(c.rank()),
+                                    bands.count(c.rank()));
+    auto rho = ham::compute_density(ctx.setup, ctx.hamiltonian.fft_dense(), psi_loc, occ_loc, c);
+    EXPECT_LT(ham::density_error(ctx.setup, rho, rho_ref), 5e-6);
+  });
+}
+
 TEST_P(DistributedRanks, ExcitedElectronsMatchesSerial) {
   const int np = GetParam();
   const std::size_t nb = 6;
@@ -241,258 +291,17 @@ TEST_P(DistributedRanks, ExcitedElectronsMatchesSerial) {
 
 INSTANTIATE_TEST_SUITE_P(Np, DistributedRanks, ::testing::Values(1, 2, 3, 4));
 
-/// Band-group x grid-rank layouts of the hierarchical communicator
-/// (paper §3.1, Fig. 1). Every test pins results across the 2D layouts
-/// against the flat (1D) layout at the same world size — bitwise where the
-/// determinism contract promises it.
-struct HierLayout {
-  int band_groups;
-  int grid_ranks;
-  int np() const { return band_groups * grid_ranks; }
-};
-
-class HierLayouts : public ::testing::TestWithParam<HierLayout> {};
-
-TEST_P(HierLayouts, DensityAllreduceBitwiseMatchesFlat) {
-  // The density Allreduce is the reduction that must stay bit-identical
-  // when it runs through HierComm's staged (grid -> band -> ordered fold)
-  // path instead of the flat rendezvous.
-  const auto layout = GetParam();
-  const int np = layout.np();
-  const std::size_t nb = 8;
-  auto setup = test::make_si8_setup(3.0, 1);
-  auto psi = test::random_orthonormal(setup, nb, 31);
-  std::vector<double> occ(nb, 2.0);
-
-  std::vector<std::vector<double>> rho_flat(np), rho_hier(np);
-  par::ThreadGroup::run(np, [&](par::Comm& c) {
-    RankContext ctx(3.0, false);
-    par::BlockPartition bands(nb, np);
-    CMatrix psi_loc = test::band_slice(psi, bands, c.rank());
-    std::span<const double> occ_loc(occ.data() + bands.offset(c.rank()), bands.count(c.rank()));
-    rho_flat[c.rank()] =
-        ham::compute_density(ctx.setup, ctx.hamiltonian.fft_dense(), psi_loc, occ_loc, c);
-    par::HierComm h(c, layout.band_groups);
-    rho_hier[c.rank()] =
-        ham::compute_density(ctx.setup, ctx.hamiltonian.fft_dense(), psi_loc, occ_loc, h);
-  });
-  for (int r = 0; r < np; ++r) {
-    ASSERT_EQ(rho_hier[r].size(), rho_flat[r].size());
-    for (std::size_t i = 0; i < rho_flat[r].size(); ++i)
-      EXPECT_EQ(rho_hier[r][i], rho_flat[r][i]) << "rank " << r << " i " << i;
-  }
-}
-
-TEST_P(HierLayouts, GridTransposeMatchesSlicedReference) {
-  // Within one band group the wavefunction transpose runs on grid() — a
-  // P_g-rank rendezvous — and the groups transpose concurrently. The result
-  // must be the exact slice of the group's band block.
-  const auto layout = GetParam();
-  const int np = layout.np();
-  const std::size_t ng = 30, nb = 8;
-  CMatrix full(ng, nb);
-  Rng rng(53);
-  for (std::size_t i = 0; i < full.size(); ++i) full.data()[i] = rng.complex_normal();
-
-  par::ThreadGroup::run(np, [&](par::Comm& c) {
-    par::HierComm h(c, layout.band_groups);
-    const par::BlockPartition groups = h.group_bands(nb);
-    // My group's band slice of the global block.
-    CMatrix group_full(ng, groups.count(h.band_group()));
-    for (std::size_t j = 0; j < group_full.cols(); ++j)
-      for (std::size_t i = 0; i < ng; ++i)
-        group_full(i, j) = full(i, groups.offset(h.band_group()) + j);
-
-    par::BlockPartition bands(group_full.cols(), h.n_grid_ranks());
-    par::BlockPartition gvecs(ng, h.n_grid_ranks());
-    par::WavefunctionTranspose tr(gvecs, bands);
-    CMatrix band_local = test::band_slice(group_full, bands, h.grid_rank());
-    CMatrix g_local, back;
-    tr.band_to_g(h.grid(), band_local, g_local, false);
-    ASSERT_EQ(g_local.rows(), gvecs.count(h.grid_rank()));
-    ASSERT_EQ(g_local.cols(), group_full.cols());
-    for (std::size_t j = 0; j < g_local.cols(); ++j)
-      for (std::size_t i = 0; i < g_local.rows(); ++i)
-        EXPECT_EQ(g_local(i, j), group_full(gvecs.offset(h.grid_rank()) + i, j));
-    tr.g_to_band(h.grid(), g_local, back, false);
-    for (std::size_t i = 0; i < back.size(); ++i)
-      EXPECT_EQ(back.data()[i], band_local.data()[i]);
-    h.merge_substats();
-  });
-}
-
-TEST_P(HierLayouts, FullPtCnStepOnHierCommBitwiseMatchesFlat) {
-  // The whole propagator — density, Fock broadcasts, overlap transposes,
-  // Anderson, orthonormalization — run on the hierarchical communicator
-  // must reproduce the flat layout bit for bit (the staged allreduce is the
-  // only reduction whose path changes, and it is order-preserving).
-  const auto layout = GetParam();
-  const int np = layout.np();
-  const std::size_t nb = 8;
-  RankContext ref_ctx(3.0, true);
-  auto psi_init = test::random_orthonormal(ref_ctx.setup, nb, 33);
-  std::vector<double> occ(nb, 2.0);
-  td::DeltaKick kick({0.0, 0.0, 0.02}, -1.0);
-  td::PtCnOptions opt;
-  opt.dt = 1.0;
-  opt.rho_tol = 1e-7;
-  opt.max_scf = 60;
-  opt.sp_comm = false;
-
-  std::vector<CMatrix> psi_flat(np), psi_hier(np);
-  par::ThreadGroup::run(np, [&](par::Comm& c) {
-    RankContext ctx(3.0, true);
-    par::BlockPartition bands(nb, np);
-    CMatrix psi_loc = test::band_slice(psi_init, bands, c.rank());
-    td::PtCnPropagator prop(ctx.hamiltonian, bands, opt, np);
-    auto rep = prop.step(psi_loc, occ, 0.0, kick, c);
-    EXPECT_TRUE(rep.converged);
-    psi_flat[c.rank()] = std::move(psi_loc);
-  });
-  par::ThreadGroup::run(np, [&](par::Comm& c) {
-    RankContext ctx(3.0, true);
-    par::BlockPartition bands(nb, np);
-    CMatrix psi_loc = test::band_slice(psi_init, bands, c.rank());
-    par::HierComm h(c, layout.band_groups);
-    td::PtCnPropagator prop(ctx.hamiltonian, bands, opt, np);
-    auto rep = prop.step(psi_loc, occ, 0.0, kick, h);
-    EXPECT_TRUE(rep.converged);
-    psi_hier[c.rank()] = std::move(psi_loc);
-  });
-  for (int r = 0; r < np; ++r) {
-    ASSERT_EQ(psi_hier[r].size(), psi_flat[r].size());
-    for (std::size_t i = 0; i < psi_flat[r].size(); ++i)
-      EXPECT_EQ(psi_hier[r].data()[i], psi_flat[r].data()[i]) << "rank " << r;
-  }
-}
-
-TEST_P(HierLayouts, AceBuildAndApplyBitwiseMatchesFlat) {
-  // ACE build (exact Fock apply + transposes + small Allreduce) and
-  // apply_add (two transposes + one Allreduce) on the hierarchical
-  // communicator must reproduce the flat layout bit for bit: HierComm's
-  // staged allreduce is order-preserving and the transposes are exact
-  // permutations, so the serial dense algebra sees identical inputs.
-  const auto layout = GetParam();
-  const int np = layout.np();
-  const std::size_t nb = 8;
-  auto setup = test::make_si8_setup(3.0, 1);
-  auto phi = test::random_orthonormal(setup, nb, 41);
-  auto x = test::random_orthonormal(setup, nb, 43);
-  std::vector<double> occ(nb, 2.0);
-
-  auto run = [&](bool hier, std::vector<CMatrix>& out) {
-    par::ThreadGroup::run(np, [&](par::Comm& c) {
-      RankContext ctx(3.0, true);
-      par::BlockPartition bands(nb, np);
-      CMatrix phi_loc = test::band_slice(phi, bands, c.rank());
-      CMatrix x_loc = test::band_slice(x, bands, c.rank());
-      ham::FockOperator fock(ctx.setup, xc::HybridParams{true, 0.25, 0.11});
-      ham::AceOperator ace(ctx.setup);
-      CMatrix y_loc(ctx.setup.n_g(), x_loc.cols(), Complex{0, 0});
-      if (hier) {
-        par::HierComm h(c, layout.band_groups);
-        fock.set_orbitals(phi_loc, occ, bands, h);
-        ace.build(fock, phi_loc, h);
-        ace.apply_add(x_loc, y_loc, h);
-      } else {
-        fock.set_orbitals(phi_loc, occ, bands, c);
-        ace.build(fock, phi_loc, c);
-        ace.apply_add(x_loc, y_loc, c);
-      }
-      out[c.rank()] = std::move(y_loc);
-    });
-  };
-  std::vector<CMatrix> y_flat(np), y_hier(np);
-  run(false, y_flat);
-  run(true, y_hier);
-  for (int r = 0; r < np; ++r) {
-    ASSERT_EQ(y_hier[r].size(), y_flat[r].size());
-    for (std::size_t i = 0; i < y_flat[r].size(); ++i)
-      EXPECT_EQ(y_hier[r].data()[i], y_flat[r].data()[i]) << "rank " << r;
-  }
-}
-
-TEST_P(HierLayouts, AceMtsPtCnStepOnHierCommBitwiseMatchesFlat) {
-  // The ACE-mode PT-CN step under MTS (projector rebuild at step start,
-  // frozen compressed applies through the inner loop) across layouts: the
-  // drift monitor's Allreduce, the ACE build/apply collectives, and every
-  // legacy reduction must keep the trajectory bit-identical to flat.
-  const auto layout = GetParam();
-  const int np = layout.np();
-  const std::size_t nb = 8;
-  RankContext ref_ctx(3.0, true);
-  auto psi_init = test::random_orthonormal(ref_ctx.setup, nb, 47);
-  std::vector<double> occ(nb, 2.0);
-  td::DeltaKick kick({0.0, 0.0, 0.02}, -1.0);
-  td::PtCnOptions opt;
-  opt.dt = 1.0;
-  opt.rho_tol = 1e-6;
-  opt.max_scf = 60;
-  opt.sp_comm = false;
-  opt.mts_interval = 2;  // second step runs the frozen-exchange path
-  opt.mts_drift_tol = 1e9;
-
-  auto make_ctx_opt = [] {
-    auto o = RankContext::make_opt(true);
-    o.use_ace = true;
-    return o;
-  };
-  auto run = [&](bool hier, std::vector<CMatrix>& out) {
-    par::ThreadGroup::run(np, [&](par::Comm& c) {
-      ham::PlanewaveSetup setup_loc = test::make_si8_setup(3.0, 1);
-      auto species = pseudo::PseudoSpecies::silicon(true);
-      ham::Hamiltonian hamiltonian(setup_loc, species, make_ctx_opt());
-      par::BlockPartition bands(nb, np);
-      CMatrix psi_loc = test::band_slice(psi_init, bands, c.rank());
-      td::PtCnPropagator prop(hamiltonian, bands, opt, np);
-      std::unique_ptr<par::HierComm> h;
-      par::Comm* use = &c;
-      if (hier) {
-        h = std::make_unique<par::HierComm>(c, layout.band_groups);
-        use = h.get();
-      }
-      auto r0 = prop.step(psi_loc, occ, 0.0, kick, *use);
-      auto r1 = prop.step(psi_loc, occ, 1.0, kick, *use);
-      EXPECT_TRUE(r0.exchange_refreshed);
-      EXPECT_FALSE(r1.exchange_refreshed);
-      out[c.rank()] = std::move(psi_loc);
-    });
-  };
-  std::vector<CMatrix> psi_flat(np), psi_hier(np);
-  run(false, psi_flat);
-  run(true, psi_hier);
-  for (int r = 0; r < np; ++r) {
-    ASSERT_EQ(psi_hier[r].size(), psi_flat[r].size());
-    for (std::size_t i = 0; i < psi_flat[r].size(); ++i)
-      EXPECT_EQ(psi_hier[r].data()[i], psi_flat[r].data()[i]) << "rank " << r;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Grid, HierLayouts,
-                         ::testing::Values(HierLayout{1, 4}, HierLayout{2, 2},
-                                           HierLayout{4, 1}, HierLayout{2, 1},
-                                           HierLayout{1, 1}),
-                         [](const ::testing::TestParamInfo<HierLayout>& info) {
-                           return "Layout" + std::to_string(info.param.band_groups) + "x" +
-                                  std::to_string(info.param.grid_ranks);
-                         });
-
 /// Multi-process acceptance: the full hybrid PT-CN step with the ranks in
-/// separate OS processes over SocketComm — flat and through HierComm (2x1
-/// band groups and 1x2 grid ranks) — must be bit-identical to the same
+/// separate OS processes over SocketComm must be bit-identical to the same
 /// step on ThreadComm. The thread-backed reference wavefunctions are
 /// computed in the parent before the fork, so every child reads them
 /// copy-on-write; any mismatch fails the child, which fails the parent
-/// through SocketGroup's exit-code contract.
-struct SocketPtCnCase {
-  int band_groups;  ///< 0 = flat SocketComm (no HierComm wrapper)
-};
-
-class SocketPtCn : public ::testing::TestWithParam<SocketPtCnCase> {};
+/// through SocketGroup's exit-code contract. The parameter names the rank
+/// layout; the engine has one, the flat band layout.
+class SocketPtCn : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(SocketPtCn, FullHybridStepBitwiseMatchesThreadComm) {
   const int np = 2;
-  const int bg = GetParam().band_groups;
   const std::size_t nb = 8;
   RankContext ref_ctx(3.0, true);
   auto psi_init = test::random_orthonormal(ref_ctx.setup, nb, 61);
@@ -523,13 +332,7 @@ TEST_P(SocketPtCn, FullHybridStepBitwiseMatchesThreadComm) {
         par::BlockPartition bands(nb, np);
         CMatrix psi_loc = test::band_slice(psi_init, bands, c.rank());
         td::PtCnPropagator prop(ctx.hamiltonian, bands, opt, np);
-        std::unique_ptr<par::HierComm> h;
-        par::Comm* use = &c;
-        if (bg > 0) {
-          h = std::make_unique<par::HierComm>(c, bg);
-          use = h.get();
-        }
-        auto rep = prop.step(psi_loc, occ, 0.0, kick, *use);
+        auto rep = prop.step(psi_loc, occ, 0.0, kick, c);
         EXPECT_TRUE(rep.converged);
         const CMatrix& expect = psi_ref[c.rank()];
         ASSERT_EQ(psi_loc.size(), expect.size());
@@ -541,14 +344,9 @@ TEST_P(SocketPtCn, FullHybridStepBitwiseMatchesThreadComm) {
       /*timeout_sec=*/600);
 }
 
-INSTANTIATE_TEST_SUITE_P(TwoProcess, SocketPtCn,
-                         ::testing::Values(SocketPtCnCase{0}, SocketPtCnCase{2},
-                                           SocketPtCnCase{1}),
-                         [](const ::testing::TestParamInfo<SocketPtCnCase>& info) {
-                           return info.param.band_groups == 0
-                                      ? std::string("Flat")
-                                      : "Hier" + std::to_string(info.param.band_groups) + "x" +
-                                            std::to_string(2 / info.param.band_groups);
+INSTANTIATE_TEST_SUITE_P(TwoProcess, SocketPtCn, ::testing::Values("Flat"),
+                         [](const ::testing::TestParamInfo<const char*>& info) {
+                           return std::string(info.param);
                          });
 
 }  // namespace

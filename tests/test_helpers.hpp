@@ -8,6 +8,9 @@
 #include <cmath>
 #include <complex>
 #include <csignal>
+#include <cstdlib>
+#include <filesystem>
+#include <string>
 #include <vector>
 
 #include "common/check.hpp"
@@ -99,6 +102,21 @@ struct FileSizeLimit {
   }
   void (*handler)(int);
   rlimit saved{};
+};
+
+/// Private scratch directory: mkdtemp() gives it a unique name, so two
+/// runs of one test binary at once (say a Release and a TSan build)
+/// never share or delete each other's files. Removed with its contents on
+/// scope exit.
+struct ScratchDir {
+  explicit ScratchDir(const std::string& tag) : path("/tmp/pwdft_" + tag + "_XXXXXX") {
+    PWDFT_CHECK(::mkdtemp(path.data()) != nullptr, "mkdtemp failed for " << path);
+  }
+  ScratchDir(const ScratchDir&) = delete;
+  ScratchDir& operator=(const ScratchDir&) = delete;
+  ~ScratchDir() { std::filesystem::remove_all(path); }
+  std::string file(const std::string& name) const { return path + "/" + name; }
+  std::string path;
 };
 
 }  // namespace pwdft::test

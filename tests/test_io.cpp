@@ -9,9 +9,10 @@
 namespace pwdft {
 namespace {
 
+/// One checkpoint file in a private scratch directory (test::ScratchDir).
 struct TempPath {
-  explicit TempPath(const char* name) : path(std::string("/tmp/pwdft_ckpt_") + name) {}
-  ~TempPath() { std::remove(path.c_str()); }
+  explicit TempPath(const char* name) : dir("ckpt"), path(dir.file(name)) {}
+  test::ScratchDir dir;
   std::string path;
 };
 

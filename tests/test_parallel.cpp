@@ -5,7 +5,6 @@
 #include "common/exec.hpp"
 #include "parallel/comm.hpp"
 #include "parallel/distribution.hpp"
-#include "parallel/hier_comm.hpp"
 #include "parallel/overlap.hpp"
 #include "parallel/thread_comm.hpp"
 #include "parallel/transpose.hpp"
@@ -159,113 +158,6 @@ TEST(ThreadComm, DupCreatesIndependentRendezvousDomain) {
       EXPECT_DOUBLE_EQ(a[0], 1.0 + 2.0 + 3.0);
       EXPECT_DOUBLE_EQ(b[0], 10.0 + 20.0 + 30.0);
     }
-  });
-}
-
-TEST(ThreadComm, SplitPartitionsByColorWithKeyOrder) {
-  const int np = 6;
-  ThreadGroup::run(np, [&](Comm& c) {
-    // Even/odd colors; key reverses the parent order inside each group.
-    const int color = c.rank() % 2;
-    auto sub = c.split(color, /*key=*/-c.rank());
-    EXPECT_EQ(sub->size(), 3);
-    // Ranks {4,2,0} / {5,3,1} in key order.
-    EXPECT_EQ(sub->rank(), (np - 2 - c.rank() + color) / 2);
-    // Group collectives see only the group: sum of parent ranks.
-    double v = c.rank();
-    sub->allreduce_sum(&v, 1);
-    EXPECT_DOUBLE_EQ(v, color == 0 ? 0.0 + 2.0 + 4.0 : 1.0 + 3.0 + 5.0);
-  });
-}
-
-TEST(ThreadComm, SplitGroupsRunCollectivesConcurrently) {
-  // Two color groups must be able to sit in *different* collectives at the
-  // same time — the property HierComm relies on for concurrent band-group
-  // transposes.
-  const int np = 4;
-  ThreadGroup::run(np, [&](Comm& c) {
-    auto sub = c.split(c.rank() / 2, c.rank());
-    for (int rep = 0; rep < 10; ++rep) {
-      if (c.rank() < 2) {
-        double v = 1.0;
-        sub->allreduce_sum(&v, 1);
-        EXPECT_DOUBLE_EQ(v, 2.0);
-      } else {
-        std::vector<double> v(32, double(c.rank()));
-        sub->bcast(v.data(), v.size(), 0);
-        EXPECT_DOUBLE_EQ(v[0], 2.0);
-      }
-    }
-    c.barrier();
-  });
-}
-
-TEST(SerialComm, SplitIsSerial) {
-  par::SerialComm c;
-  auto sub = c.split(7, 0);
-  EXPECT_EQ(sub->size(), 1);
-  EXPECT_EQ(sub->rank(), 0);
-}
-
-TEST(HierComm, LayoutMapsRowMajor) {
-  const int np = 6, nbg = 3;
-  ThreadGroup::run(np, [&](Comm& c) {
-    par::HierComm h(c, nbg);
-    EXPECT_EQ(h.size(), np);
-    EXPECT_EQ(h.rank(), c.rank());
-    EXPECT_EQ(h.n_band_groups(), nbg);
-    EXPECT_EQ(h.n_grid_ranks(), 2);
-    EXPECT_EQ(h.band_group(), c.rank() / 2);
-    EXPECT_EQ(h.grid_rank(), c.rank() % 2);
-    EXPECT_EQ(h.grid().rank(), h.grid_rank());
-    EXPECT_EQ(h.band().rank(), h.band_group());
-    // grid() connects exactly my band group's world ranks.
-    double v = c.rank();
-    h.grid().allreduce_sum(&v, 1);
-    EXPECT_DOUBLE_EQ(v, 2.0 * (c.rank() / 2) * 2 + 1.0);
-    // band() connects the same grid slot across groups.
-    double w = c.rank();
-    h.band().allreduce_sum(&w, 1);
-    EXPECT_DOUBLE_EQ(w, 3.0 * (c.rank() % 2) + 0.0 + 2.0 + 4.0);
-  });
-}
-
-TEST(HierComm, StagedAllreduceBitwiseMatchesFlat) {
-  // The staged (grid allgather -> band allgather -> world-rank-ordered
-  // fold) reduction must produce the identical bits as the flat rendezvous
-  // allreduce — the contract that keeps densities and overlap matrices
-  // bit-identical across 1D and 2D layouts.
-  const int np = 4;
-  const std::size_t n = 257;  // odd length exercises the fold tail
-  for (int nbg : {1, 2, 4}) {
-    ThreadGroup::run(np, [&](Comm& c) {
-      Rng rng(100 + c.rank());
-      std::vector<double> flat(n), staged(n);
-      for (std::size_t i = 0; i < n; ++i) flat[i] = staged[i] = rng.normal();
-      par::HierComm h(c, nbg);
-      c.allreduce_sum(flat.data(), n);
-      h.allreduce_sum(staged.data(), n);
-      for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(flat[i], staged[i]);
-
-      std::vector<Complex> cf(17), cs(17);
-      for (std::size_t i = 0; i < cf.size(); ++i) cf[i] = cs[i] = rng.complex_normal();
-      c.allreduce_sum(cf.data(), cf.size());
-      h.allreduce_sum(cs.data(), cs.size());
-      for (std::size_t i = 0; i < cf.size(); ++i) EXPECT_EQ(cf[i], cs[i]);
-    });
-  }
-}
-
-TEST(HierComm, SubstatsFoldIntoWorldRecord) {
-  const int np = 4;
-  ThreadGroup::run(np, [&](Comm& c) {
-    par::HierComm h(c, 2);
-    std::vector<double> v(8, 1.0);
-    h.allreduce_sum(v.data(), v.size());
-    EXPECT_EQ(h.stats().get(CommOp::kAllreduce).calls, 1u);
-    h.merge_substats();
-    // The two allgather hops now show in the hier record.
-    EXPECT_EQ(h.stats().get(CommOp::kAllgatherv).calls, 2u);
   });
 }
 

@@ -16,7 +16,7 @@
 namespace pwdft {
 namespace {
 
-using serve_test::CkptDir;
+using test::ScratchDir;
 using serve_test::expect_traces_identical;
 using serve_test::solo_trace;
 using serve_test::tiny_job;
@@ -41,7 +41,7 @@ TEST(JobEngine, ConcurrentMixedTenantsMatchSoloRunsBitwise) {
   const auto ref_laser = solo_trace(spec_laser);
   const auto ref_quiet = solo_trace(spec_quiet);
 
-  CkptDir dir(::testing::UnitTest::GetInstance()->current_test_info()->name());
+  ScratchDir dir(::testing::UnitTest::GetInstance()->current_test_info()->name());
   serve::JobEngineOptions eopt;
   eopt.max_running = 4;
   eopt.checkpoint_dir = dir.path;
@@ -80,7 +80,7 @@ TEST(JobEngine, KillMidRunThenResumeIsBitIdentical) {
   spec.checkpoint_every = 1;
   const auto ref = solo_trace(spec);
 
-  CkptDir dir(::testing::UnitTest::GetInstance()->current_test_info()->name());
+  ScratchDir dir(::testing::UnitTest::GetInstance()->current_test_info()->name());
   serve::JobEngineOptions eopt;
   eopt.checkpoint_dir = dir.path;
   serve::JobEngine engine(eopt);
@@ -112,7 +112,7 @@ TEST(JobEngine, PreemptedBeforeStartResumesFromScratch) {
   auto spec = tiny_job("early", serve::JobKind::kAbsorption, 1);
   const auto ref = solo_trace(spec);
 
-  CkptDir dir(::testing::UnitTest::GetInstance()->current_test_info()->name());
+  ScratchDir dir(::testing::UnitTest::GetInstance()->current_test_info()->name());
   serve::JobEngineOptions eopt;
   eopt.max_running = 1;
   eopt.checkpoint_dir = dir.path;
@@ -145,7 +145,7 @@ TEST(JobEngine, HighPrioritySubmissionEvictsCheapestLowerPriorityRunner) {
   urgent.priority = 5;
   const auto ref_urgent = solo_trace(urgent);
 
-  CkptDir dir(::testing::UnitTest::GetInstance()->current_test_info()->name());
+  ScratchDir dir(::testing::UnitTest::GetInstance()->current_test_info()->name());
   serve::JobEngineOptions eopt;
   eopt.max_running = 1;
   eopt.checkpoint_dir = dir.path;
@@ -175,7 +175,7 @@ TEST(JobEngine, HighPrioritySubmissionEvictsCheapestLowerPriorityRunner) {
 // that is queued or running must NOT start a second run against the same
 // checkpoint files; resuming a done job is a no-op kOk.
 TEST(JobEngine, ResumeByNameIsIdempotent) {
-  CkptDir dir(::testing::UnitTest::GetInstance()->current_test_info()->name());
+  ScratchDir dir(::testing::UnitTest::GetInstance()->current_test_info()->name());
   serve::JobEngineOptions eopt;
   eopt.max_running = 1;
   eopt.checkpoint_dir = dir.path;
@@ -213,7 +213,7 @@ TEST(JobEngine, ResumeByNameIsIdempotent) {
 }
 
 TEST(JobEngine, CancelDeletesCheckpointFilesAndIsTerminal) {
-  CkptDir dir(::testing::UnitTest::GetInstance()->current_test_info()->name());
+  ScratchDir dir(::testing::UnitTest::GetInstance()->current_test_info()->name());
   serve::JobEngineOptions eopt;
   eopt.max_running = 1;
   eopt.checkpoint_dir = dir.path;
@@ -245,7 +245,7 @@ TEST(JobEngine, CostModelGatesAdmissionButNeverStarves) {
   // time), and results are unchanged.
   auto spec = tiny_job("solo-budget", serve::JobKind::kAbsorption, 1);
   const auto ref = solo_trace(spec);
-  CkptDir dir(::testing::UnitTest::GetInstance()->current_test_info()->name());
+  ScratchDir dir(::testing::UnitTest::GetInstance()->current_test_info()->name());
   serve::JobEngineOptions eopt;
   eopt.max_running = 4;
   eopt.cost_budget = small / 1e6;
@@ -263,7 +263,7 @@ TEST(JobEngine, CostModelGatesAdmissionButNeverStarves) {
 // The api_redesign pin: every rejection is a typed ErrorCode, not an
 // exception — in-process callers see exactly what remote clients see.
 TEST(JobEngine, RejectionsAreTypedErrorCodes) {
-  CkptDir dir(::testing::UnitTest::GetInstance()->current_test_info()->name());
+  ScratchDir dir(::testing::UnitTest::GetInstance()->current_test_info()->name());
   serve::JobEngineOptions eopt;
   eopt.checkpoint_dir = dir.path;
   serve::JobEngine engine(eopt);
@@ -283,7 +283,7 @@ TEST(JobEngine, RejectionsAreTypedErrorCodes) {
 // A snapshot that cannot be written (the file-size limit stands in for a full
 // disk) fails the job with a typed kIoError naming the file, leaving no temp.
 TEST(JobEngine, SnapshotWriteFailureFailsJobWithIoError) {
-  CkptDir dir(::testing::UnitTest::GetInstance()->current_test_info()->name());
+  ScratchDir dir(::testing::UnitTest::GetInstance()->current_test_info()->name());
   serve::JobEngineOptions eopt;
   eopt.checkpoint_dir = dir.path;
   serve::JobEngine engine(eopt);

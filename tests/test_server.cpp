@@ -15,11 +15,12 @@
 #include "serve/server.hpp"
 #include "serve/wire.hpp"
 #include "serve_test_util.hpp"
+#include "test_helpers.hpp"
 
 namespace pwdft {
 namespace {
 
-using serve_test::CkptDir;
+using test::ScratchDir;
 using serve_test::expect_traces_identical;
 using serve_test::solo_trace;
 using serve_test::tiny_job;
@@ -33,7 +34,7 @@ TEST(WireProtocol, SpecFrameRoundTripsBitExact) {
   spec.checkpoint_every = 2;
   spec.sim.seed = 1234;
 
-  serve::wire::PutBuf p;
+  frame::PutBuf p;
   serve::wire::put_spec(p, spec);
   const auto bytes = serve::wire::encode_frame(serve::wire::MsgType::kSubmit, p.bytes());
 
@@ -41,7 +42,7 @@ TEST(WireProtocol, SpecFrameRoundTripsBitExact) {
   ASSERT_EQ(serve::wire::decode_frame(bytes.data(), bytes.size(), &frame),
             serve::ErrorCode::kOk);
   EXPECT_EQ(frame.type, serve::wire::MsgType::kSubmit);
-  serve::wire::GetBuf in(frame.payload);
+  frame::GetBuf in(frame.payload);
   serve::JobSpec back;
   ASSERT_TRUE(serve::wire::get_spec(in, &back));
   EXPECT_TRUE(in.exhausted());
@@ -83,9 +84,9 @@ TEST(WireProtocol, StatusFrameRoundTripsTraceBitwise) {
   status.trace[1].t = 0.125;
   status.trace[1].mts_drift = 5e-9;
 
-  serve::wire::PutBuf p;
+  frame::PutBuf p;
   serve::wire::put_status(p, status);
-  serve::wire::GetBuf in(p.bytes());
+  frame::GetBuf in(p.bytes());
   serve::JobStatus back;
   ASSERT_TRUE(serve::wire::get_status(in, &back));
   EXPECT_TRUE(in.exhausted());
@@ -104,7 +105,7 @@ TEST(WireProtocol, StatusFrameRoundTripsTraceBitwise) {
 // corruption of a valid frame must yield a typed error — never kOk, never a
 // crash, never a giant allocation.
 TEST(WireProtocol, EveryTruncationAndByteFlipIsRejectedTyped) {
-  serve::wire::PutBuf p;
+  frame::PutBuf p;
   serve::wire::put_spec(p, tiny_job("fuzzed", serve::JobKind::kAbsorption, 3));
   const auto bytes = serve::wire::encode_frame(serve::wire::MsgType::kSubmit, p.bytes());
   serve::wire::Frame frame;
@@ -153,7 +154,7 @@ TEST(WireProtocol, EveryTruncationAndByteFlipIsRejectedTyped) {
 }
 
 TEST(WireProtocol, SpecFileSurvivesRoundTripAndRejectsCorruption) {
-  CkptDir dir("spec_file_roundtrip");
+  ScratchDir dir("spec_file_roundtrip");
   const std::string path = dir.path + "/job.spec.ckpt";
   const auto spec = tiny_job("durable", serve::JobKind::kLaser, 4);
   serve::wire::save_spec_file(path, spec);
@@ -188,7 +189,7 @@ TEST(JobServer, LoopbackSubmitStreamPreemptResumeCancelOverTcp) {
   spec_laser.checkpoint_every = 1;
   const auto ref_laser = solo_trace(spec_laser);
 
-  CkptDir dir("loopback_tcp");
+  ScratchDir dir("loopback_tcp");
   serve::ServerOptions sopt;
   sopt.listen = "tcp:127.0.0.1:0";
   sopt.engine.max_running = 2;
@@ -247,7 +248,7 @@ TEST(JobServer, LoopbackSubmitStreamPreemptResumeCancelOverTcp) {
 }
 
 TEST(JobServer, UnixSocketLoopbackRunsScfJob) {
-  CkptDir dir("loopback_unix");
+  ScratchDir dir("loopback_unix");
   serve::ServerOptions sopt;
   sopt.listen = "unix:" + dir.path + "/serve.sock";
   sopt.engine.checkpoint_dir = dir.path;
@@ -266,7 +267,7 @@ TEST(JobServer, UnixSocketLoopbackRunsScfJob) {
 // Malformed traffic from a hostile or broken peer: every failure mode is
 // answered with a typed kError frame, then the connection is dropped.
 TEST(JobServer, MalformedFramesAreRejectedWithTypedErrors) {
-  CkptDir dir("malformed");
+  ScratchDir dir("malformed");
   serve::ServerOptions sopt;
   sopt.listen = "unix:" + dir.path + "/serve.sock";
   sopt.engine.checkpoint_dir = dir.path;
@@ -276,14 +277,14 @@ TEST(JobServer, MalformedFramesAreRejectedWithTypedErrors) {
     serve::wire::Frame reply;
     EXPECT_EQ(serve::wire::recv_frame(fd, &reply), serve::ErrorCode::kOk);
     EXPECT_EQ(reply.type, serve::wire::MsgType::kError);
-    serve::wire::GetBuf in(reply.payload);
+    frame::GetBuf in(reply.payload);
     const auto code = static_cast<serve::ErrorCode>(in.u32());
     in.str();  // message
     EXPECT_TRUE(in.exhausted());
     return code;
   };
   const auto handshake = [](int fd) {
-    serve::wire::PutBuf hello;
+    frame::PutBuf hello;
     hello.u32(serve::wire::kProtocolVersion);
     ASSERT_EQ(serve::wire::send_frame(fd, serve::wire::MsgType::kHello, hello.bytes()),
               serve::ErrorCode::kOk);
@@ -311,7 +312,7 @@ TEST(JobServer, MalformedFramesAreRejectedWithTypedErrors) {
   // Foreign protocol version in the hello: kVersionMismatch.
   {
     const int fd = frame::dial(server.address());
-    serve::wire::PutBuf hello;
+    frame::PutBuf hello;
     hello.u32(99);
     ASSERT_EQ(serve::wire::send_frame(fd, serve::wire::MsgType::kHello, hello.bytes()),
               serve::ErrorCode::kOk);
@@ -323,7 +324,7 @@ TEST(JobServer, MalformedFramesAreRejectedWithTypedErrors) {
   {
     const int fd = frame::dial(server.address());
     handshake(fd);
-    serve::wire::PutBuf req;
+    frame::PutBuf req;
     req.u64(0);
     auto bytes = serve::wire::encode_frame(serve::wire::MsgType::kStatusReq, req.bytes());
     bytes[serve::wire::kFrameHeaderBytes] ^= 0x10;  // first payload byte
@@ -337,7 +338,7 @@ TEST(JobServer, MalformedFramesAreRejectedWithTypedErrors) {
   {
     const int fd = frame::dial(server.address());
     handshake(fd);
-    serve::wire::PutBuf req;
+    frame::PutBuf req;
     req.u64(0);
     const auto bytes = serve::wire::encode_frame(serve::wire::MsgType::kStatusReq, req.bytes());
     ASSERT_EQ(::send(fd, bytes.data(), bytes.size() - 5, MSG_NOSIGNAL),
@@ -418,7 +419,7 @@ TEST(JobServer, KillNineThenRestartResumesEveryJobBitIdentically) {
   const auto ref_a = solo_trace(child_spec_a());
   const auto ref_b = solo_trace(child_spec_b());
 
-  CkptDir dir("kill9_restart");
+  ScratchDir dir("kill9_restart");
   const pid_t pid = ::fork();
   ASSERT_GE(pid, 0);
   if (pid == 0) {

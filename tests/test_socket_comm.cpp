@@ -45,14 +45,6 @@ TEST_P(CommConformance, AllCollectivesBitwise) {
   test::run_backend(p.backend, p.np, [](par::Comm& c) { test::check_all_collectives(c); });
 }
 
-TEST_P(CommConformance, HierLayoutsBitwise) {
-  const SweepCase p = GetParam();
-  test::run_backend(p.backend, p.np, [](par::Comm& c) {
-    for (int bg = 1; bg <= c.size(); ++bg)
-      if (c.size() % bg == 0) test::check_hier_allreduce(c, bg);
-  });
-}
-
 INSTANTIATE_TEST_SUITE_P(Backends, CommConformance,
                          ::testing::Values(SweepCase{CommBackend::kSerial, 1},
                                            SweepCase{CommBackend::kThread, 1},
@@ -65,44 +57,12 @@ INSTANTIATE_TEST_SUITE_P(Backends, CommConformance,
                                            SweepCase{CommBackend::kSocket, 4}),
                          sweep_name);
 
-// --- dup()/split() under concurrent collectives (ThreadComm + SocketComm) ---
+// --- dup() under concurrent collectives (ThreadComm + SocketComm) -----------
 
 TEST(CommConcurrency, ThreadDupStreamsStayIndependent) {
   for (int np : {2, 4})
     test::run_backend(CommBackend::kThread, np,
                       [](par::Comm& c) { test::check_concurrent_dup_collectives(c); });
-}
-
-TEST(CommConcurrency, ThreadSplitStreamsStayIndependent) {
-  test::run_backend(CommBackend::kThread, 4, [](par::Comm& c) {
-    // Side thread drives collectives on my split half while the main
-    // thread keeps the world communicator busy.
-    const std::unique_ptr<par::Comm> sub = c.split(c.rank() % 2, c.rank());
-    std::vector<int> members;
-    for (int r = 0; r < c.size(); ++r)
-      if (r % 2 == c.rank() % 2) members.push_back(r);
-    std::vector<double> got(8);
-    std::thread side([&] {
-      for (int k = 0; k < 8; ++k) {
-        double v = test::signal(members[sub->rank()], 300 + k);
-        sub->allreduce_sum(&v, 1);
-        got[k] = v;
-      }
-    });
-    for (int k = 0; k < 8; ++k) {
-      double v = test::signal(c.rank(), 400 + k);
-      c.allreduce_sum(&v, 1);
-      double expect = 0;
-      for (int r = 0; r < c.size(); ++r) expect += test::signal(r, 400 + k);
-      PWDFT_EXPECT_BITEQ(v, expect);
-    }
-    side.join();
-    for (int k = 0; k < 8; ++k) {
-      double expect = 0;
-      for (int r : members) expect += test::signal(r, 300 + k);
-      PWDFT_EXPECT_BITEQ(got[k], expect);
-    }
-  });
 }
 
 TEST(CommConcurrency, SocketDupStreamsStayIndependent) {
