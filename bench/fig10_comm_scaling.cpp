@@ -80,17 +80,6 @@ class SimWireComm final : public par::Comm {
     std::this_thread::sleep_for(wire_);
     parent_->alltoallv_bytes(send, send_counts, send_displs, recv, recv_counts, recv_displs);
   }
-  void allgatherv_bytes(const unsigned char* send, std::size_t send_bytes, unsigned char* recv,
-                        const std::size_t* recv_counts,
-                        const std::size_t* recv_displs) override {
-    parent_->allgatherv_bytes(send, send_bytes, recv, recv_counts, recv_displs);
-  }
-  void send_bytes(const void* data, std::size_t bytes, int dest, int tag) override {
-    parent_->send_bytes(data, bytes, dest, tag);
-  }
-  void recv_bytes(void* data, std::size_t bytes, int src, int tag) override {
-    parent_->recv_bytes(data, bytes, src, tag);
-  }
   std::unique_ptr<par::Comm> dup() override {
     return std::make_unique<SimWireComm>(parent_->dup(), wire_);
   }

@@ -1,7 +1,7 @@
 // Regenerates paper Table 1: wall-clock breakdown of the computationally
 // intensive components for the 1536-atom silicon system, 36..3072 GPUs,
 // plus the §6 power comparison. Values come from the calibrated Summit
-// performance model (src/perf); see EXPERIMENTS.md for paper-vs-model.
+// performance model (src/perf).
 
 #include <cstdio>
 

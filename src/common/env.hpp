@@ -3,7 +3,7 @@
 /// \file env.hpp
 /// Strict parsing of PWDFT_* environment variables.
 ///
-/// The deployment knobs (docs/PERFORMANCE.md: threads, ranks, addresses,
+/// The deployment knobs (docs/PERFORMANCE.md: threads, addresses,
 /// timeouts, slots, paths, recovery) are resolved from the environment; no
 /// variable may change a result. A malformed value must fail loudly: a typo
 /// (`PWDFT_NUM_THREADS=four`, `PWDFT_SERVE_RECOVER=On!`) that silently

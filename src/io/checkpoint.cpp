@@ -26,7 +26,6 @@ static_assert(sizeof(double) == 8 && sizeof(Complex) == 16);
 constexpr std::uint32_t kFormatVersion = 3;
 constexpr std::uint32_t kSnapshot = 1;
 constexpr frame::Protocol kPsi{"PWDFTPS", kFormatVersion, kSnapshot, kSnapshot, ~0ull};
-constexpr frame::Protocol kRho{"PWDFTRH", kFormatVersion, kSnapshot, kSnapshot, ~0ull};
 constexpr frame::Protocol kBlob{"PWDFTBL", kFormatVersion, kSnapshot, kSnapshot, ~0ull};
 
 constexpr std::size_t kMetaBytes = 6 * 8;
@@ -113,26 +112,6 @@ CheckpointMeta load_wavefunctions(const std::string& path, CMatrix& psi,
                                                         << " header shape in " << path);
   psi.resize(m.n_g, m.n_bands);
   copy_data(payload, psi.data(), n * sizeof(Complex));
-  return m;
-}
-
-void save_density(const std::string& path, const CheckpointMeta& meta,
-                  const std::vector<double>& rho) {
-  PWDFT_CHECK(rho.size() == meta.n_dense, "checkpoint: density size does not match metadata");
-  save(path, kRho, meta, rho.data(), rho.size() * sizeof(double));
-}
-
-CheckpointMeta load_density(const std::string& path, std::vector<double>& rho,
-                            const CheckpointMeta* expected) {
-  std::vector<std::uint8_t> payload;
-  CheckpointMeta m;
-  const std::uint64_t n = load(path, kRho, sizeof(double), payload, &m);
-  if (expected) {
-    PWDFT_CHECK(m.n_dense == expected->n_dense, "checkpoint: dense-grid size mismatch");
-  }
-  PWDFT_CHECK(n == m.n_dense, "checkpoint: payload does not match the header size in " << path);
-  rho.resize(n);
-  copy_data(payload, rho.data(), n * sizeof(double));
   return m;
 }
 

@@ -1,11 +1,10 @@
 #pragma once
 
 /// \file checkpoint.hpp
-/// Crash-safe binary checkpointing of wavefunctions, densities, and generic
-/// double blobs so long rt-TDDFT trajectories (the paper's production runs
-/// are 600 steps / 30 fs) can be split across job allocations and survive
-/// preemption (serve::JobEngine checkpoints every running job through this
-/// layer).
+/// Crash-safe binary checkpointing of wavefunctions and generic double blobs
+/// so long rt-TDDFT trajectories (the paper's production runs are 600 steps
+/// / 30 fs) can be split across job allocations and survive preemption
+/// (serve::JobEngine checkpoints every running job through this layer).
 ///
 /// Durability contract:
 ///   - Saves go through io::atomic_write (io/frame_file.hpp): a saved
@@ -13,7 +12,7 @@
 ///     previous one, and a failed save throws io::WriteError naming the file
 ///     and errno, leaving no `<path>.tmp` behind.
 ///   - Format v3: each file is one common/frame frame of its family's
-///     dialect (magic PWDFTPS / PWDFTRH / PWDFTBL, version '3'). The payload
+///     dialect (magic PWDFTPS / PWDFTBL, version '3'). The payload
 ///     is the six CheckpointMeta fields, fixed-width little-endian (no raw
 ///     struct dumps), then the data; the frame's FNV-1a-64 footer covers both.
 ///   - Loads reject short files, checksum mismatches, and trailing bytes,
@@ -52,12 +51,6 @@ void save_wavefunctions(const std::string& path, const CheckpointMeta& meta,
 /// safety).
 CheckpointMeta load_wavefunctions(const std::string& path, CMatrix& psi,
                                   const CheckpointMeta* expected = nullptr);
-
-/// Dense-grid density snapshots. Same durability contract.
-void save_density(const std::string& path, const CheckpointMeta& meta,
-                  const std::vector<double>& rho);
-CheckpointMeta load_density(const std::string& path, std::vector<double>& rho,
-                            const CheckpointMeta* expected = nullptr);
 
 /// Generic double-vector snapshot in the same v3 envelope (own magic; the
 /// frame length gives the element count — the meta shape fields describe

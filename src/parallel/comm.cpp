@@ -12,10 +12,6 @@ const char* comm_op_name(CommOp op) {
       return "Allreduce";
     case CommOp::kAlltoallv:
       return "Alltoallv";
-    case CommOp::kAllgatherv:
-      return "Allgatherv";
-    case CommOp::kSendRecv:
-      return "SendRecv";
     case CommOp::kBarrier:
       return "Barrier";
     default:
@@ -45,22 +41,6 @@ void SerialComm::alltoallv_bytes(const unsigned char* send, const std::size_t* s
   PWDFT_CHECK(send_counts[0] == recv_counts[0], "SerialComm alltoallv: count mismatch");
   std::memcpy(recv + recv_displs[0], send + send_displs[0], send_counts[0]);
   stats_.add(CommOp::kAlltoallv, 0, 0.0);
-}
-
-void SerialComm::allgatherv_bytes(const unsigned char* send, std::size_t send_bytes,
-                                  unsigned char* recv, const std::size_t* recv_counts,
-                                  const std::size_t* recv_displs) {
-  PWDFT_CHECK(recv_counts[0] == send_bytes, "SerialComm allgatherv: count mismatch");
-  std::memcpy(recv + recv_displs[0], send, send_bytes);
-  stats_.add(CommOp::kAllgatherv, 0, 0.0);
-}
-
-void SerialComm::send_bytes(const void*, std::size_t, int, int) {
-  PWDFT_CHECK(false, "SerialComm: point-to-point send on a 1-rank communicator");
-}
-
-void SerialComm::recv_bytes(void*, std::size_t, int, int) {
-  PWDFT_CHECK(false, "SerialComm: point-to-point recv on a 1-rank communicator");
 }
 
 std::unique_ptr<Comm> SerialComm::dup() { return std::make_unique<SerialComm>(); }

@@ -12,8 +12,12 @@
 ///     collectives (see thread_comm.hpp);
 ///   - SocketComm: N ranks as OS processes over a socket mesh (see
 ///     socket_comm.hpp).
-/// The engine runs one flat communicator over all ranks; dup() is the one
-/// way to obtain an independent rendezvous domain on the same rank set.
+/// The interface carries exactly the operations the engine calls: the
+/// paper's three collectives (Bcast in the Fock loop, Alltoallv and
+/// Allreduce in the residual, orthonormalization and density), barrier, and
+/// dup(), the one way to obtain an independent rendezvous domain on the same
+/// rank set. There is no point-to-point traffic. The engine runs one flat
+/// communicator over all ranks.
 /// Every operation records call counts, payload bytes, and wall time into
 /// CommStats; the perf model validates its volume formulas (paper §7)
 /// against these measured numbers.
@@ -32,8 +36,6 @@ enum class CommOp : int {
   kBcast = 0,
   kAllreduce,
   kAlltoallv,
-  kAllgatherv,
-  kSendRecv,
   kBarrier,
   kCount
 };
@@ -65,19 +67,15 @@ class CommStats {
       ops_[op].seconds += other.ops_[op].seconds;
     }
   }
-  std::size_t total_bytes() const {
-    std::size_t t = 0;
-    for (const auto& s : ops_) t += s.bytes;
-    return t;
-  }
   void reset() { ops_ = {}; }
 
  private:
   std::array<OpStats, static_cast<int>(CommOp::kCount)> ops_{};
 };
 
-/// Abstract communicator. Methods are collective unless noted; every rank of
-/// the communicator must call them in the same order (MPI semantics).
+/// Abstract communicator. Every method but rank() and size() is collective;
+/// every rank of the communicator must call them in the same order (MPI
+/// semantics).
 class Comm {
  public:
   virtual ~Comm() = default;
@@ -93,12 +91,6 @@ class Comm {
   virtual void alltoallv_bytes(const unsigned char* send, const std::size_t* send_counts,
                                const std::size_t* send_displs, unsigned char* recv,
                                const std::size_t* recv_counts, const std::size_t* recv_displs) = 0;
-  virtual void allgatherv_bytes(const unsigned char* send, std::size_t send_bytes,
-                                unsigned char* recv, const std::size_t* recv_counts,
-                                const std::size_t* recv_displs) = 0;
-  /// Point-to-point (not collective).
-  virtual void send_bytes(const void* data, std::size_t bytes, int dest, int tag) = 0;
-  virtual void recv_bytes(void* data, std::size_t bytes, int src, int tag) = 0;
 
   /// Collective: every rank obtains a communicator with the same ranks but
   /// an independent rendezvous domain (MPI_Comm_dup). Collectives on the
@@ -134,10 +126,6 @@ class SerialComm final : public Comm {
   void alltoallv_bytes(const unsigned char* send, const std::size_t* send_counts,
                        const std::size_t* send_displs, unsigned char* recv,
                        const std::size_t* recv_counts, const std::size_t* recv_displs) override;
-  void allgatherv_bytes(const unsigned char* send, std::size_t send_bytes, unsigned char* recv,
-                        const std::size_t* recv_counts, const std::size_t* recv_displs) override;
-  void send_bytes(const void* data, std::size_t bytes, int dest, int tag) override;
-  void recv_bytes(void* data, std::size_t bytes, int src, int tag) override;
   std::unique_ptr<Comm> dup() override;
 };
 

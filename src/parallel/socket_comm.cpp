@@ -27,20 +27,19 @@ namespace {
 
 /// Frame dialect (common/frame.hpp): own magic so a SocketComm rank and a
 /// serve endpoint accidentally cross-wired reject each other's bytes as
-/// kBadMagic instead of misreading them.
+/// kBadMagic instead of misreading them. The version changes whenever what a
+/// message carries changes (2: dup() shares its listeners by JOIN/TABLE).
 enum class CommMsg : std::uint32_t {
   kJoin = 1,        ///< rank -> rank 0: u32 rank, u32 nranks, str listener
   kTable = 2,       ///< rank 0 -> rank: u32 nranks, nranks x str listeners
   kIdent = 3,       ///< mesh dial: u32 new rank of the dialing peer
   kCollective = 4,  ///< u64 seq, u32 op, u32 src rank, raw data
-  kP2p = 5,         ///< u32 tag, u32 src rank, raw data
 };
 
-constexpr frame::Protocol kProto{"PWDFTCM", 1, static_cast<std::uint32_t>(CommMsg::kJoin),
-                                 static_cast<std::uint32_t>(CommMsg::kP2p), 1ull << 30};
+constexpr frame::Protocol kProto{"PWDFTCM", 2, static_cast<std::uint32_t>(CommMsg::kJoin),
+                                 static_cast<std::uint32_t>(CommMsg::kCollective), 1ull << 30};
 
 constexpr std::size_t kCoHeader = 16;  ///< seq + op + src prefix of kCollective
-constexpr std::size_t kP2pHeader = 8;  ///< tag + src prefix of kP2p
 
 using Clock = std::chrono::steady_clock;
 
@@ -180,6 +179,58 @@ void expect_whole(const frame::GetBuf& in, const char* what) {
     throw_fault(CommFault::kProtocol, std::string(what) + ": malformed handshake payload");
 }
 
+/// The JOIN/TABLE handshake of connect() and dup(): returns every rank's
+/// listener address in rank order. `links` holds one connected fd per peer
+/// on rank 0 (own slot -1) and the link to rank 0 in slot 0 on every other
+/// rank. Rank r >= 1 sends JOIN{r, P, mine} and reads back the TABLE. Rank 0
+/// reads one JOIN per link, refiles the link under the rank the JOIN names
+/// (rendezvous accepts arrive in any order), and sends each peer the TABLE.
+std::vector<std::string> exchange_table(int rank, std::vector<int>& links,
+                                        const std::string& mine, const char* what) {
+  const std::uint32_t nranks = static_cast<std::uint32_t>(links.size());
+  std::vector<std::string> addrs(nranks);
+  if (rank == 0) {
+    std::vector<int> filed(nranks, -1);
+    addrs[0] = mine;
+    for (std::uint32_t s = 1; s < nranks; ++s) {
+      const std::vector<std::uint8_t> pay = recv_handshake(links[s], CommMsg::kJoin, what);
+      frame::GetBuf in(pay);
+      const std::uint32_t r = in.u32();
+      const std::uint32_t n = in.u32();
+      std::string addr = in.str();
+      expect_whole(in, what);
+      if (n != nranks)
+        throw_fault(CommFault::kProtocol, std::string(what) + ": peer expects " +
+                                              std::to_string(n) + " ranks, this rank expects " +
+                                              std::to_string(nranks));
+      if (r < 1 || r >= nranks || filed[r] != -1)
+        throw_fault(CommFault::kProtocol, std::string(what) + ": duplicate or bad rank " +
+                                              std::to_string(r) + " joined");
+      filed[r] = links[s];
+      addrs[r] = std::move(addr);
+    }
+    links = std::move(filed);
+    frame::PutBuf table;
+    table.u32(nranks);
+    for (const std::string& a : addrs) table.str(a);
+    for (std::uint32_t r = 1; r < nranks; ++r)
+      send_handshake(links[r], CommMsg::kTable, table.bytes(), what);
+  } else {
+    frame::PutBuf join;
+    join.u32(static_cast<std::uint32_t>(rank));
+    join.u32(nranks);
+    join.str(mine);
+    send_handshake(links[0], CommMsg::kJoin, join.bytes(), what);
+    const std::vector<std::uint8_t> pay = recv_handshake(links[0], CommMsg::kTable, what);
+    frame::GetBuf in(pay);
+    if (in.u32() != nranks)
+      throw_fault(CommFault::kProtocol, std::string(what) + ": table size mismatch");
+    for (std::string& a : addrs) a = in.str();
+    expect_whole(in, what);
+  }
+  return addrs;
+}
+
 /// Dial-lower / accept-higher mesh construction among `addrs` (indexed by
 /// rank; own slot ignored). `fds` enters holding the lower-rank peers that
 /// are already connected — the join edge to rank 0 during connect(), none
@@ -235,9 +286,7 @@ SocketCommOptions SocketCommOptions::from_env() {
 
 SocketComm::SocketComm(int rank, std::vector<int> fds, SocketCommOptions opts,
                        std::string mesh_hint)
-    : rank_(rank), fds_(std::move(fds)), opts_(opts), mesh_hint_(std::move(mesh_hint)) {
-  stash_.resize(fds_.size());
-}
+    : rank_(rank), fds_(std::move(fds)), opts_(opts), mesh_hint_(std::move(mesh_hint)) {}
 
 SocketComm::~SocketComm() {
   for (int fd : fds_)
@@ -261,68 +310,25 @@ std::unique_ptr<SocketComm> SocketComm::connect(int rank, int nranks,
   if (rank == 0) {
     frame::Listener rv = frame::listen_on(rendezvous);
     ListenerGuard rv_guard{rv};
-    std::vector<std::string> addrs(nranks);
     for (int joined = 1; joined < nranks; ++joined) {
-      const int fd = accept_deadline(rv.fd, deadline, "rendezvous");
-      set_sock_opts(fd, opts.timeout_ms);
-      const std::vector<std::uint8_t> pay = recv_handshake(fd, CommMsg::kJoin, "rendezvous");
-      frame::GetBuf in(pay);
-      const std::uint32_t r = in.u32();
-      const std::uint32_t n = in.u32();
-      const std::string addr = in.str();
-      expect_whole(in, "rendezvous");
-      if (n != static_cast<std::uint32_t>(nranks))
-        throw_fault(CommFault::kProtocol, "rendezvous: peer expects " + std::to_string(n) +
-                                              " ranks, this rank expects " +
-                                              std::to_string(nranks));
-      if (r < 1 || r >= static_cast<std::uint32_t>(nranks) || fds[r] != -1)
-        throw_fault(CommFault::kProtocol, "rendezvous: duplicate or bad rank " +
-                                              std::to_string(r) + " joined");
-      fds[r] = fd;
-      addrs[r] = addr;
+      fds[joined] = accept_deadline(rv.fd, deadline, "rendezvous");
+      set_sock_opts(fds[joined], opts.timeout_ms);
     }
     rv.close();
-    frame::PutBuf table;
-    table.u32(static_cast<std::uint32_t>(nranks));
-    for (const std::string& a : addrs) table.str(a);
-    for (int r = 1; r < nranks; ++r)
-      send_handshake(fds[r], CommMsg::kTable, table.bytes(), "rendezvous");
+    // Rank 0 announces no mesh listener: its mesh edges are the join links.
+    exchange_table(0, fds, "", "rendezvous");
   } else {
     // The peer mesh among ranks >= 1: rank j accepts from ranks > j and
     // dials ranks in [1, j); the (0, j) edges are the join connections.
     frame::Listener mesh = open_mesh_listener(hint);
     ListenerGuard mesh_guard{mesh};
-    const int fd0 = dial_deadline(rendezvous, deadline, "rendezvous");
-    set_sock_opts(fd0, opts.timeout_ms);
-    frame::PutBuf join;
-    join.u32(static_cast<std::uint32_t>(rank));
-    join.u32(static_cast<std::uint32_t>(nranks));
-    join.str(mesh.address);
-    send_handshake(fd0, CommMsg::kJoin, join.bytes(), "rendezvous");
-    const std::vector<std::uint8_t> pay = recv_handshake(fd0, CommMsg::kTable, "rendezvous");
-    frame::GetBuf in(pay);
-    const std::uint32_t n = in.u32();
-    if (n != static_cast<std::uint32_t>(nranks))
-      throw_fault(CommFault::kProtocol, "rendezvous: table size mismatch");
-    std::vector<std::string> addrs(nranks);
-    for (int r = 0; r < nranks; ++r) addrs[r] = in.str();
-    expect_whole(in, "rendezvous");
-    fds[0] = fd0;
+    fds[0] = dial_deadline(rendezvous, deadline, "rendezvous");
+    set_sock_opts(fds[0], opts.timeout_ms);
+    const std::vector<std::string> addrs = exchange_table(rank, fds, mesh.address, "rendezvous");
     fds = build_mesh(rank, addrs, mesh.fd, std::move(fds), opts.timeout_ms, deadline);
     mesh.close();
   }
   return std::unique_ptr<SocketComm>(new SocketComm(rank, std::move(fds), opts, hint));
-}
-
-std::unique_ptr<SocketComm> SocketComm::connect_env() {
-  const SocketCommOptions opts = SocketCommOptions::from_env();
-  const long nranks = env::integer("PWDFT_RANKS", 1, 1, 4096);
-  const long rank = env::integer("PWDFT_RANK", 0, 0, nranks - 1);
-  const std::string listen = env::text("PWDFT_COMM_LISTEN", "tcp:127.0.0.1:0");
-  PWDFT_CHECK(nranks == 1 || listen != "tcp:127.0.0.1:0",
-              "SocketComm: PWDFT_COMM_LISTEN must name a fixed rendezvous address when "
-              "PWDFT_RANKS > 1 (every rank must dial the same address)");
-  return connect(static_cast<int>(rank), static_cast<int>(nranks), listen, opts);
 }
 
 // --- collective frame plumbing ---------------------------------------------
@@ -515,44 +521,6 @@ void SocketComm::allreduce_sum(Complex* data, std::size_t count) {
   allreduce_sum_impl(data, count);
 }
 
-void SocketComm::allgatherv_bytes(const unsigned char* send, std::size_t send_bytes,
-                                  unsigned char* recv, const std::size_t* recv_counts,
-                                  const std::size_t* recv_displs) {
-  WallTimer t;
-  ++seq_;
-  const int np = size();
-  PWDFT_CHECK(send_bytes == recv_counts[rank_],
-              "allgatherv: count mismatch from rank " << rank_);
-  std::vector<std::size_t> off(np + 1, 0);
-  for (int r = 0; r < np; ++r) off[r + 1] = off[r] + recv_counts[r];
-  const std::size_t total = off[np];
-  if (np > 1) {
-    if (rank_ == 0) {
-      // Gather every block in rank order, then ship the concatenation to
-      // each peer; receivers scatter it through their own displacements.
-      std::vector<std::uint8_t> all(total);
-      std::memcpy(all.data() + off[0], send, send_bytes);
-      for (int r = 1; r < np; ++r) {
-        const std::vector<std::uint8_t> pay =
-            recv_collective(r, CommOp::kAllgatherv, recv_counts[r]);
-        std::memcpy(all.data() + off[r], pay.data() + kCoHeader, recv_counts[r]);
-      }
-      for (int r = 1; r < np; ++r)
-        send_collective(r, CommOp::kAllgatherv, all.data(), total);
-      for (int r = 0; r < np; ++r)
-        std::memcpy(recv + recv_displs[r], all.data() + off[r], recv_counts[r]);
-    } else {
-      send_collective(0, CommOp::kAllgatherv, send, send_bytes);
-      const std::vector<std::uint8_t> pay = recv_collective(0, CommOp::kAllgatherv, total);
-      for (int r = 0; r < np; ++r)
-        std::memcpy(recv + recv_displs[r], pay.data() + kCoHeader + off[r], recv_counts[r]);
-    }
-  } else {
-    std::memcpy(recv + recv_displs[0], send, send_bytes);
-  }
-  stats_.add(CommOp::kAllgatherv, total - recv_counts[rank_], t.seconds());
-}
-
 void SocketComm::alltoallv_bytes(const unsigned char* send, const std::size_t* send_counts,
                                  const std::size_t* send_displs, unsigned char* recv,
                                  const std::size_t* recv_counts,
@@ -603,88 +571,7 @@ void SocketComm::alltoallv_bytes(const unsigned char* send, const std::size_t* s
   stats_.add(CommOp::kAlltoallv, received, t.seconds());
 }
 
-// --- point-to-point --------------------------------------------------------
-
-void SocketComm::send_bytes(const void* data, std::size_t bytes, int dest, int tag) {
-  PWDFT_CHECK(dest >= 0 && dest < size() && dest != rank_, "send: bad destination");
-  WallTimer t;
-  std::vector<std::uint8_t> pay(kP2pHeader + bytes);
-  frame::pack_u32(static_cast<std::uint32_t>(tag), pay.data());
-  frame::pack_u32(static_cast<std::uint32_t>(rank_), pay.data() + 4);
-  if (bytes > 0) std::memcpy(pay.data() + kP2pHeader, data, bytes);
-  const frame::IoStatus st = frame::send_frame(
-      fds_[dest], kProto, static_cast<std::uint32_t>(CommMsg::kP2p), pay.data(), pay.size());
-  if (st != frame::IoStatus::kOk) throw_io(st, "send to rank " + std::to_string(dest));
-  stats_.add(CommOp::kSendRecv, bytes, t.seconds());
-}
-
-void SocketComm::recv_bytes(void* data, std::size_t bytes, int src, int tag) {
-  PWDFT_CHECK(src >= 0 && src < size() && src != rank_, "recv: bad source");
-  WallTimer t;
-  const std::uint32_t want = static_cast<std::uint32_t>(tag);
-  auto& parked = stash_[src];
-  const auto deliver = [&](const std::vector<std::uint8_t>& body) {
-    if (body.size() != bytes)
-      throw_fault(CommFault::kProtocol, "recv: size mismatch (sent " +
-                                            std::to_string(body.size()) + ", expected " +
-                                            std::to_string(bytes) + ")");
-    if (bytes > 0) std::memcpy(data, body.data(), bytes);
-  };
-  for (std::size_t i = 0; i < parked.size(); ++i) {
-    if (parked[i].first == want) {
-      deliver(parked[i].second);
-      parked.erase(parked.begin() + static_cast<std::ptrdiff_t>(i));
-      stats_.add(CommOp::kSendRecv, bytes, t.seconds());
-      return;
-    }
-  }
-  for (;;) {
-    std::uint32_t type = 0;
-    std::vector<std::uint8_t> pay;
-    const frame::IoStatus st = frame::recv_frame(fds_[src], kProto, &type, &pay);
-    const std::string ctx = "recv from rank " + std::to_string(src);
-    if (st != frame::IoStatus::kOk) throw_io(st, ctx);
-    if (type != static_cast<std::uint32_t>(CommMsg::kP2p) || pay.size() < kP2pHeader)
-      throw_fault(CommFault::kProtocol, ctx + ": expected a point-to-point frame");
-    const std::uint32_t ftag = frame::unpack_u32(pay.data());
-    if (frame::unpack_u32(pay.data() + 4) != static_cast<std::uint32_t>(src))
-      throw_fault(CommFault::kProtocol, ctx + ": frame claims a different source");
-    std::vector<std::uint8_t> body(pay.begin() + kP2pHeader, pay.end());
-    if (ftag == want) {
-      deliver(body);
-      stats_.add(CommOp::kSendRecv, bytes, t.seconds());
-      return;
-    }
-    if (parked.size() >= 1024)
-      throw_fault(CommFault::kProtocol, ctx + ": out-of-order message stash overflow");
-    parked.emplace_back(ftag, std::move(body));
-  }
-}
-
 // --- dup -------------------------------------------------------------------
-
-std::vector<std::string> SocketComm::allgather_addresses(const std::string& mine) {
-  const int np = size();
-  // Two allgatherv rounds: the fixed-size lengths, then the addresses.
-  std::vector<std::uint8_t> lens(static_cast<std::size_t>(np) * 8);
-  std::uint8_t mylen[8];
-  frame::pack_u64(mine.size(), mylen);
-  std::vector<std::size_t> counts(np, 8), displs(np);
-  for (int r = 0; r < np; ++r) displs[r] = static_cast<std::size_t>(r) * 8;
-  allgatherv_bytes(mylen, 8, lens.data(), counts.data(), displs.data());
-  std::size_t total = 0;
-  for (int r = 0; r < np; ++r) {
-    counts[r] = frame::unpack_u64(lens.data() + static_cast<std::size_t>(r) * 8);
-    displs[r] = total;
-    total += counts[r];
-  }
-  std::string all(total, '\0');
-  allgatherv_bytes(reinterpret_cast<const unsigned char*>(mine.data()), mine.size(),
-                   reinterpret_cast<unsigned char*>(all.data()), counts.data(), displs.data());
-  std::vector<std::string> out(np);
-  for (int r = 0; r < np; ++r) out[r] = all.substr(displs[r], counts[r]);
-  return out;
-}
 
 std::unique_ptr<Comm> SocketComm::dup() {
   if (size() == 1)
@@ -692,9 +579,11 @@ std::unique_ptr<Comm> SocketComm::dup() {
         new SocketComm(0, std::vector<int>{-1}, opts_, mesh_hint_));
   frame::Listener mesh = open_mesh_listener(mesh_hint_);
   ListenerGuard mesh_guard{mesh};
-  // Publish every rank's fresh listener over the parent, then rebuild the
-  // full mesh on new sockets — an independent rendezvous domain.
-  const std::vector<std::string> addrs = allgather_addresses(mesh.address);
+  // Publish every rank's fresh listener over the parent's links to rank 0,
+  // then rebuild the full mesh on new sockets — an independent rendezvous
+  // domain.
+  std::vector<int> links = fds_;
+  const std::vector<std::string> addrs = exchange_table(rank_, links, mesh.address, "dup");
   std::vector<int> fds = build_mesh(rank_, addrs, mesh.fd, std::vector<int>(size(), -1),
                                     opts_.timeout_ms, deadline_from(opts_.timeout_ms));
   mesh.close();

@@ -4,10 +4,11 @@
 /// Multi-process socket-backed implementation of the Comm interface.
 ///
 /// N ranks living in N OS processes — forked by SocketGroup or launched
-/// independently with PWDFT_RANK / PWDFT_RANKS / PWDFT_COMM_LISTEN — meet
-/// at a rank-0 rendezvous listener, exchange peer-listener addresses, and
-/// build a full mesh of stream sockets (unix or TCP loopback, following
-/// the rendezvous transport). Every byte on those sockets travels as a
+/// independently, each calling SocketComm::connect with its rank and the
+/// shared rendezvous address — meet at a rank-0 rendezvous listener,
+/// exchange peer-listener addresses (the JOIN/TABLE handshake), and build a
+/// full mesh of stream sockets (unix or TCP loopback, following the
+/// rendezvous transport). Every byte on those sockets travels as a
 /// length-prefixed, FNV-1a-checksummed frame with the shared
 /// common/frame.hpp layout (serve::wire's discipline, its own magic), so
 /// a truncated, corrupt, or foreign frame is a typed CommError — never a
@@ -25,9 +26,9 @@
 /// SocketCommOptions timeout (socket receive/send timeouts plus poll
 /// deadlines), so a dead or wedged peer surfaces as CommError{kTimeout /
 /// kPeerClosed / kTruncated / kCorrupt / ...} within the timeout. MPI
-/// semantics apply: collectives and matching point-to-point calls must be
-/// issued in the same order on every rank of a communicator; a frame from
-/// the wrong collective is CommError{kProtocol}.
+/// semantics apply: collectives, dup() included, must be issued in the same
+/// order on every rank of a communicator; a frame from the wrong collective
+/// is CommError{kProtocol}.
 
 #include <cstdint>
 #include <functional>
@@ -75,16 +76,13 @@ struct SocketCommOptions {
 
 class SocketComm final : public Comm {
  public:
-  /// Collective across the N processes: rank 0 listens on `rendezvous`
+  /// Collective across the N processes, and the entry point for
+  /// independently launched ranks: rank 0 listens on `rendezvous`
   /// ("unix:<path>" or "tcp:<host>:<port>"), ranks 1..N-1 dial it (with
   /// retry — rank 0 may not be up yet), and all end holding a full peer
   /// mesh. Throws CommError on timeout or a malformed handshake.
   static std::unique_ptr<SocketComm> connect(int rank, int nranks, const std::string& rendezvous,
                                              const SocketCommOptions& opts);
-
-  /// Reads PWDFT_RANK / PWDFT_RANKS / PWDFT_COMM_LISTEN (+ timeout) and
-  /// calls connect() — the entry point for independently launched ranks.
-  static std::unique_ptr<SocketComm> connect_env();
 
   ~SocketComm() override;
   SocketComm(const SocketComm&) = delete;
@@ -100,15 +98,12 @@ class SocketComm final : public Comm {
   void alltoallv_bytes(const unsigned char* send, const std::size_t* send_counts,
                        const std::size_t* send_displs, unsigned char* recv,
                        const std::size_t* recv_counts, const std::size_t* recv_displs) override;
-  void allgatherv_bytes(const unsigned char* send, std::size_t send_bytes, unsigned char* recv,
-                        const std::size_t* recv_counts, const std::size_t* recv_displs) override;
-  void send_bytes(const void* data, std::size_t bytes, int dest, int tag) override;
-  void recv_bytes(void* data, std::size_t bytes, int src, int tag) override;
 
   /// Collective: a second full mesh over fresh sockets among the same
   /// ranks — an independent rendezvous domain, so collectives on the
   /// duplicate never interleave with the parent's (the TransposeOverlap
-  /// contract).
+  /// contract). The fresh listener addresses travel in the JOIN/TABLE
+  /// handshake of connect(), over the parent's links to rank 0.
   std::unique_ptr<Comm> dup() override;
 
   /// Fault injection for the conformance harness: the NEXT outbound
@@ -133,8 +128,6 @@ class SocketComm final : public Comm {
   /// one) without blocking either direction — the alltoallv exchange step.
   void duplex_exchange(int dst, const std::uint8_t* out, std::size_t out_n, int src,
                        std::uint8_t* in, std::size_t in_n);
-  /// Every rank's listener address, in rank order — dup()'s rendezvous.
-  std::vector<std::string> allgather_addresses(const std::string& mine);
 
   int rank_ = 0;
   std::vector<int> fds_;  ///< peer fd per rank; own slot is -1
@@ -143,8 +136,6 @@ class SocketComm final : public Comm {
   std::string mesh_hint_;
   std::uint64_t seq_ = 0;  ///< collective call counter, validated per frame
   Inject inject_ = Inject::kNone;
-  /// Out-of-order point-to-point frames parked per source: (tag, data).
-  std::vector<std::vector<std::pair<std::uint32_t, std::vector<std::uint8_t>>>> stash_;
 };
 
 /// Forks `nranks` child processes, each running `fn` over a SocketComm

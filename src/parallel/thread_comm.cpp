@@ -21,16 +21,6 @@ struct SharedState {
   std::vector<const void*> ptrs;
   /// Per-rank published auxiliary pointer (counts/displs for alltoallv).
   std::vector<std::array<const std::size_t*, 2>> aux;
-
-  // Point-to-point mailbox: key = (src, dst, tag).
-  struct MailEntry {
-    const void* data = nullptr;
-    std::size_t bytes = 0;
-    bool consumed = false;
-  };
-  std::mutex mail_mutex;
-  std::condition_variable mail_cv;
-  std::map<std::tuple<int, int, int>, MailEntry> mailbox;
 };
 
 }  // namespace detail
@@ -104,59 +94,6 @@ void ThreadComm::alltoallv_bytes(const unsigned char* send, const std::size_t* s
   }
   shared_->sync.arrive_and_wait();
   stats_.add(CommOp::kAlltoallv, received, t.seconds());
-}
-
-void ThreadComm::allgatherv_bytes(const unsigned char* send, std::size_t send_bytes,
-                                  unsigned char* recv, const std::size_t* recv_counts,
-                                  const std::size_t* recv_displs) {
-  WallTimer t;
-  shared_->ptrs[rank_] = send;
-  shared_->aux[rank_][0] = &send_bytes;
-  shared_->sync.arrive_and_wait();
-  std::size_t received = 0;
-  for (int r = 0; r < size(); ++r) {
-    const std::size_t bytes = *shared_->aux[r][0];
-    PWDFT_CHECK(bytes == recv_counts[r], "allgatherv: count mismatch from rank " << r);
-    std::memcpy(recv + recv_displs[r], shared_->ptrs[r], bytes);
-    if (r != rank_) received += bytes;
-  }
-  shared_->sync.arrive_and_wait();
-  stats_.add(CommOp::kAllgatherv, received, t.seconds());
-}
-
-void ThreadComm::send_bytes(const void* data, std::size_t bytes, int dest, int tag) {
-  PWDFT_CHECK(dest >= 0 && dest < size() && dest != rank_, "send: bad destination");
-  WallTimer t;
-  const auto key = std::make_tuple(rank_, dest, tag);
-  std::unique_lock lock(shared_->mail_mutex);
-  shared_->mail_cv.wait(lock, [&] { return shared_->mailbox.find(key) == shared_->mailbox.end(); });
-  shared_->mailbox[key] = {data, bytes, false};
-  shared_->mail_cv.notify_all();
-  shared_->mail_cv.wait(lock, [&] {
-    auto it = shared_->mailbox.find(key);
-    return it != shared_->mailbox.end() && it->second.consumed;
-  });
-  shared_->mailbox.erase(key);
-  shared_->mail_cv.notify_all();
-  stats_.add(CommOp::kSendRecv, bytes, t.seconds());
-}
-
-void ThreadComm::recv_bytes(void* data, std::size_t bytes, int src, int tag) {
-  PWDFT_CHECK(src >= 0 && src < size() && src != rank_, "recv: bad source");
-  WallTimer t;
-  const auto key = std::make_tuple(src, rank_, tag);
-  std::unique_lock lock(shared_->mail_mutex);
-  shared_->mail_cv.wait(lock, [&] {
-    auto it = shared_->mailbox.find(key);
-    return it != shared_->mailbox.end() && !it->second.consumed;
-  });
-  auto& entry = shared_->mailbox[key];
-  PWDFT_CHECK(entry.bytes == bytes, "recv: size mismatch (sent " << entry.bytes << ", expected "
-                                                                 << bytes << ")");
-  std::memcpy(data, entry.data, bytes);
-  entry.consumed = true;
-  shared_->mail_cv.notify_all();
-  stats_.add(CommOp::kSendRecv, bytes, t.seconds());
 }
 
 std::unique_ptr<Comm> ThreadComm::dup() {

@@ -7,15 +7,12 @@
 /// ThreadComm bound to a shared rendezvous area. Collectives follow a
 /// publish / barrier / read / barrier protocol, which gives true MPI
 /// semantics (every rank sees every other rank's payload of the *same*
-/// collective call) without any serialization of the algorithm code.
+/// collective call) without any serialization of the algorithm code; the
+/// rendezvous area holds only the published pointers and the barrier.
 
-#include <condition_variable>
 #include <cstddef>
 #include <functional>
-#include <map>
 #include <memory>
-#include <mutex>
-#include <tuple>
 #include <vector>
 
 #include "parallel/comm.hpp"
@@ -41,10 +38,6 @@ class ThreadComm final : public Comm {
   void alltoallv_bytes(const unsigned char* send, const std::size_t* send_counts,
                        const std::size_t* send_displs, unsigned char* recv,
                        const std::size_t* recv_counts, const std::size_t* recv_displs) override;
-  void allgatherv_bytes(const unsigned char* send, std::size_t send_bytes, unsigned char* recv,
-                        const std::size_t* recv_counts, const std::size_t* recv_displs) override;
-  void send_bytes(const void* data, std::size_t bytes, int dest, int tag) override;
-  void recv_bytes(void* data, std::size_t bytes, int src, int tag) override;
   /// Collective: all ranks must call dup() at the same point. The duplicate
   /// shares the rank set but owns a fresh rendezvous area, so its
   /// collectives never interleave with the parent's.

@@ -4,8 +4,8 @@
 /// Discrete performance model of PT-CN hybrid rt-TDDFT on a Summit-like
 /// machine. Maps the operation schedule of Algs. 1-3 (FLOP and byte counts
 /// per phase, paper §7) onto the machine rates of machine.hpp, reproducing
-/// the paper's Tables 1-2 and Figs. 3 and 6-10. See DESIGN.md for the
-/// substitution rationale and EXPERIMENTS.md for paper-vs-model numbers.
+/// the paper's Tables 1-2 and Figs. 3 and 6-10. See docs/ARCHITECTURE.md,
+/// Substitutions, for why a model stands in for Summit runs.
 
 #include <string>
 #include <vector>

@@ -3,7 +3,7 @@
 /// \file report.hpp
 /// Paper-style table/series generators. Each function regenerates one table
 /// or figure of the evaluation section from the performance model; the bench
-/// binaries print these and EXPERIMENTS.md records paper-vs-model values.
+/// binaries print these.
 
 #include "common/table.hpp"
 #include "perf/model.hpp"

@@ -10,7 +10,7 @@ PseudoSpecies PseudoSpecies::silicon(bool with_nonlocal) {
   PseudoSpecies s;
   s.local = LocalParams{};  // Appelbaum-Hamann silicon values
   if (with_nonlocal) {
-    // Synthetic KB channels (documented substitution; see DESIGN.md). The
+    // Synthetic KB channels (see docs/ARCHITECTURE.md, Substitutions). The
     // repulsive s channel plays the role of the ONCV s nonlocality that the
     // purely local A-H model lacks: it pushes a spurious low s-like state
     // above the valence manifold so the Gamma-only folded spectrum of the

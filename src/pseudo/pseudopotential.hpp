@@ -3,9 +3,10 @@
 /// \file pseudopotential.hpp
 /// Analytic norm-conserving-style pseudopotential for silicon.
 ///
-/// Substitution note (see DESIGN.md): the paper uses SG15 ONCV
-/// pseudopotentials, whose tabulated data is not available offline. We use
-/// the Appelbaum-Hamann local model potential (PRB 8, 1777 (1973)),
+/// Substitution note (see docs/ARCHITECTURE.md, Substitutions): the paper
+/// uses SG15 ONCV pseudopotentials, whose tabulated data is not available
+/// offline. We use the Appelbaum-Hamann local model potential (PRB 8, 1777
+/// (1973)),
 ///   v(r) = -Z erf(sqrt(alpha) r)/r + (v1 + v2 r^2) exp(-alpha r^2),
 /// a standard bulk-silicon test potential accurate in exactly the paper's
 /// Ecut = 10 Ha regime, plus synthetic Kleinman-Bylander Gaussian projectors

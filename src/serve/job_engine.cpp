@@ -322,16 +322,23 @@ void JobEngine::pump_locked() {
       if (victim) victim->evict_requested = true;
       return;
     }
-    // The cost gate never starves: an over-budget job runs once the engine
-    // drains (admitted alone).
-    if (opt_.cost_budget > 0.0 && running_ > 0 &&
-        running_cost_ + next->model_cost > opt_.cost_budget)
-      return;
     next->state = JobState::kRunning;
     ++running_;
-    running_cost_ += next->model_cost;
+    reap_locked();
     threads_.emplace_back([this, job = next] { run_job(*job); });
   }
+}
+
+void JobEngine::reap_locked() {
+  // A listed job thread holds no lock past this point, so the join only
+  // waits for it to return.
+  for (const std::thread::id id : finished_) {
+    const auto it = std::find_if(threads_.begin(), threads_.end(),
+                                 [id](const std::thread& t) { return t.get_id() == id; });
+    it->join();
+    threads_.erase(it);
+  }
+  finished_.clear();
 }
 
 std::shared_ptr<const ham::PlanewaveSetup> JobEngine::setup_for(
@@ -494,8 +501,10 @@ void JobEngine::run_job(Job& job) {
     j.drop_spec_file();  // no longer restart-recoverable work
   }
   --running_;
-  running_cost_ -= j.model_cost;
   pump_locked();
+  // Listed only now, after this thread's last pump_locked(): a job thread
+  // never joins itself. The next admission joins it.
+  finished_.push_back(std::this_thread::get_id());
   cv_.notify_all();
 }
 

@@ -11,20 +11,22 @@
 /// the same results.
 ///
 /// Scheduling. Queued jobs are admitted highest-priority-first (FIFO within
-/// a priority) subject to two limits: a running-slot cap (max_running, env
-/// PWDFT_SERVE_SLOTS via JobEngineOptions::from_env) and a cost budget —
-/// each job is priced by the calibrated performance model (perf::job_cost
-/// on its Workload), and the sum of admitted costs stays under cost_budget.
-/// A job too expensive for an empty engine is admitted alone rather than
-/// starved. When every slot is busy and a *higher-priority* job is queued,
-/// the scheduler preempts: the cheapest running job with a strictly lower
+/// a priority) while a running slot is free (max_running, env
+/// PWDFT_SERVE_SLOTS via JobEngineOptions::from_env). Each job is priced by
+/// the calibrated performance model (perf::job_cost on its Workload); the
+/// price is reported in JobStatus::model_cost and picks eviction victims.
+/// When every slot is busy and a *higher-priority* job is queued, the
+/// scheduler preempts: the cheapest running job with a strictly lower
 /// priority is stopped cooperatively at its next step boundary (crash
 /// semantics — work since its last snapshot is lost) and requeued, freeing
 /// the slot. Each admitted job runs on its own engine-owned std::thread:
 /// per docs/threading.md, concurrent parallel_for callers race for the pool
 /// and losers run inline, so tenants interleave at operator granularity and
 /// every trajectory stays bit-identical to its solo run (the async lane is
-/// NOT used here — work submitted there can never win the pool).
+/// NOT used here — work submitted there can never win the pool). A job
+/// thread marks itself finished as its last act under the engine lock, and
+/// the next admission joins every finished one, so a long-lived engine
+/// keeps no stack of a job that has ended.
 ///
 /// Sharing. Tenants with the same cell/cutoff share one PlanewaveSetup
 /// (engine-level cache) and — through fft::shared_engine — the same Fft3D
@@ -67,9 +69,6 @@ namespace pwdft::serve {
 struct JobEngineOptions {
   /// Maximum concurrently running jobs.
   std::size_t max_running = 2;
-  /// Maximum summed perf::job_cost (model-seconds) of concurrently running
-  /// jobs; 0 disables the cost gate. See the scheduling notes above.
-  double cost_budget = 0.0;
   /// Directory for per-job files: `<dir>/<name>.spec.ckpt` (durable spec),
   /// `.gs/.psi/.trace.ckpt` (snapshots).
   std::string checkpoint_dir = "/tmp";
@@ -151,16 +150,20 @@ class JobEngine {
   /// The destructor still joins; calling this first makes it a drain.
   void begin_shutdown();
 
-  /// The admission price of a spec (perf::job_cost of its workload).
+  /// The model price of a spec (perf::job_cost of its workload).
   static double cost_estimate(const JobSpec& spec);
 
  private:
   struct Job;
 
-  /// Starts every queued job the admission rules allow, and requests a
-  /// scheduler preemption when a higher-priority job is starved by a full
-  /// engine. Caller holds mu_.
+  /// Starts every queued job a free slot allows, and requests a scheduler
+  /// preemption when a higher-priority job is starved by a full engine.
+  /// Caller holds mu_.
   void pump_locked();
+  /// Joins every job thread listed in finished_. Caller holds mu_ and is
+  /// never itself listed: a job thread lists itself only after its last
+  /// pump_locked().
+  void reap_locked();
   /// Worker-thread body for one admitted job.
   void run_job(Job& job);
   /// Registers a validated spec as a queued job. Caller holds mu_.
@@ -173,8 +176,9 @@ class JobEngine {
   std::condition_variable cv_;
   std::vector<std::unique_ptr<Job>> jobs_;
   std::vector<std::thread> threads_;
+  /// Job threads that have ended and wait to be joined by the next admission.
+  std::vector<std::thread::id> finished_;
   std::size_t running_ = 0;
-  double running_cost_ = 0.0;
   bool shutdown_ = false;
 
   struct SetupKey {

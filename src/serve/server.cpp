@@ -3,6 +3,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 
 #include "common/env.hpp"
@@ -88,6 +89,15 @@ void Server::accept_loop() {
       ::close(fd);
       return;
     }
+    // Join the handlers that have ended; a listed handler holds no lock past
+    // its listing, so each join only waits for its thread to return.
+    for (const std::thread::id id : finished_) {
+      const auto it = std::find_if(conn_threads_.begin(), conn_threads_.end(),
+                                   [id](const std::thread& t) { return t.get_id() == id; });
+      it->join();
+      conn_threads_.erase(it);
+    }
+    finished_.clear();
     conn_fds_.push_back(fd);
     conn_threads_.emplace_back([this, fd] { serve_connection(fd); });
   }
@@ -137,6 +147,7 @@ void Server::serve_connection(int fd) {
   {
     std::lock_guard<std::mutex> lock(conns_mu_);
     std::erase(conn_fds_, fd);
+    finished_.push_back(std::this_thread::get_id());
   }
   // Deregistered before the close: once closed, the fd number can be reused
   // by a new connection, which stop() must never shut down.

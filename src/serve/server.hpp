@@ -4,8 +4,9 @@
 /// serve::Server — the network front-end of the job engine. It binds one
 /// listening socket ("unix:<path>" or "tcp:<host>:<port>", frame::listen_on),
 /// accepts connections on a dedicated thread, and speaks the versioned frame
-/// protocol of serve/wire.hpp on one thread per connection, translating each
-/// request frame into the matching JobEngine call:
+/// protocol of serve/wire.hpp on one thread per connection (a handler that
+/// has ended is joined at the next accept), translating each request frame
+/// into the matching JobEngine call:
 ///
 ///   kHello          → version handshake (kHelloOk | kError kVersionMismatch)
 ///   kSubmit         → engine.submit       → kSubmitOk | kError
@@ -91,6 +92,8 @@ class Server {
   std::mutex conns_mu_;
   std::vector<int> conn_fds_;  ///< fds with a live handler thread
   std::vector<std::thread> conn_threads_;
+  /// Handlers that have ended and wait to be joined by the next accept.
+  std::vector<std::thread::id> finished_;
   bool stopping_ = false;  // guarded by conns_mu_
 };
 

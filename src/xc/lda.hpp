@@ -4,7 +4,7 @@
 /// Perdew-Zunger (1981) LDA exchange-correlation: the semi-local part of the
 /// hybrid functional. (The paper uses HSE06 = PBE + screened exact exchange;
 /// the semi-local flavor does not enter any measured quantity, so PZ-LDA is
-/// used for its analytic simplicity — see DESIGN.md substitutions.)
+/// used for its analytic simplicity — see docs/ARCHITECTURE.md, Substitutions.)
 
 #include <span>
 

@@ -8,7 +8,10 @@
 /// promise is bit-identical trajectories, not close ones.
 
 #include <gtest/gtest.h>
+#include <pthread.h>
 
+#include <cstddef>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -60,6 +63,27 @@ inline void expect_traces_identical(const std::vector<td::TimePoint>& a,
   ASSERT_EQ(a.size(), b.size()) << what;
   for (std::size_t i = 0; i < a.size(); ++i)
     expect_points_identical(a[i], b[i], what + " point " + std::to_string(i));
+}
+
+/// A numeric field of /proc/self/status: "VmSize:" is the mapped address
+/// space in kB, "Threads:" the live thread count.
+inline std::size_t proc_status(const std::string& key) {
+  std::ifstream status("/proc/self/status");
+  for (std::string line; std::getline(status, line);)
+    if (line.rfind(key, 0) == 0) return std::stoul(line.substr(key.size()));
+  ADD_FAILURE() << "no " << key << " line in /proc/self/status";
+  return 0;
+}
+
+/// The stack a new std::thread maps by default, in kB.
+inline std::size_t thread_stack_kb() {
+  pthread_attr_t attr;
+  std::size_t bytes = 0;
+  if (pthread_getattr_default_np(&attr) == 0) {
+    pthread_attr_getstacksize(&attr, &bytes);
+    pthread_attr_destroy(&attr);
+  }
+  return bytes / 1024;
 }
 
 /// Solo reference: the same trajectory run directly through Simulation.

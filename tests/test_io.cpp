@@ -32,21 +32,6 @@ TEST(Checkpoint, WavefunctionRoundTripPreservesBits) {
   EXPECT_EQ(test::max_abs_diff(loaded, psi), 0.0);
 }
 
-TEST(Checkpoint, DensityRoundTrip) {
-  auto setup = test::make_si8_setup(3.0, 1);
-  Rng rng(5);
-  std::vector<double> rho(setup.n_dense());
-  for (auto& v : rho) v = rng.uniform(0.0, 1.0);
-  const auto meta = io::CheckpointMeta::from_setup(setup, 6, 0.0, 0);
-
-  TempPath p("rho.bin");
-  io::save_density(p.path, meta, rho);
-  std::vector<double> loaded;
-  io::load_density(p.path, loaded, &meta);
-  ASSERT_EQ(loaded.size(), rho.size());
-  for (std::size_t i = 0; i < rho.size(); ++i) EXPECT_EQ(loaded[i], rho[i]);
-}
-
 TEST(Checkpoint, RejectsWrongMagic) {
   TempPath p("bad.bin");
   std::ofstream f(p.path, std::ios::binary);
@@ -242,12 +227,13 @@ TEST(CheckpointFault, RejectsUnknownFormatVersion) {
 TEST(CheckpointFault, RejectsWrongFamilyMagic) {
   auto setup = test::make_si8_setup(3.0, 1);
   Rng rng(3);
-  std::vector<double> rho(setup.n_dense());
-  for (auto& v : rho) v = rng.uniform(0.0, 1.0);
+  std::vector<double> data(setup.n_g() * 3 * 2);
+  for (auto& v : data) v = rng.uniform(0.0, 1.0);
   const auto meta = io::CheckpointMeta::from_setup(setup, 3, 0.0, 0);
   TempPath p("family.bin");
-  io::save_density(p.path, meta, rho);
-  // A density file is not a wavefunction file even though both parse as v2.
+  io::save_blob(p.path, meta, data);
+  // A blob is not a wavefunction file even though both parse as v3 frames
+  // and this one holds exactly n_g x n_bands complex doubles.
   CMatrix psi;
   EXPECT_THROW(io::load_wavefunctions(p.path, psi), Error);
 }

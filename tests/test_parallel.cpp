@@ -78,45 +78,7 @@ TEST_P(RankCounts, AlltoallvRoutesBlocks) {
   });
 }
 
-TEST_P(RankCounts, AllgathervConcatenates) {
-  const int np = GetParam();
-  ThreadGroup::run(np, [&](Comm& c) {
-    const int me = c.rank();
-    std::vector<double> mine(static_cast<std::size_t>(me) + 1, double(me));
-    std::vector<std::size_t> counts(np), displs(np);
-    std::size_t off = 0;
-    for (int r = 0; r < np; ++r) {
-      counts[r] = (r + 1) * sizeof(double);
-      displs[r] = off;
-      off += counts[r];
-    }
-    std::vector<double> all(off / sizeof(double));
-    c.allgatherv_bytes(reinterpret_cast<unsigned char*>(mine.data()), mine.size() * sizeof(double),
-                       reinterpret_cast<unsigned char*>(all.data()), counts.data(), displs.data());
-    std::size_t k = 0;
-    for (int r = 0; r < np; ++r)
-      for (int i = 0; i <= r; ++i) EXPECT_DOUBLE_EQ(all[k++], double(r));
-  });
-}
-
 INSTANTIATE_TEST_SUITE_P(Np, RankCounts, ::testing::Values(1, 2, 3, 4, 6));
-
-TEST(ThreadComm, SendRecvPingPong) {
-  ThreadGroup::run(2, [&](Comm& c) {
-    double v = 0.0;
-    if (c.rank() == 0) {
-      v = 42.5;
-      c.send_bytes(&v, sizeof(v), 1, 7);
-      c.recv_bytes(&v, sizeof(v), 1, 8);
-      EXPECT_DOUBLE_EQ(v, 43.5);
-    } else {
-      c.recv_bytes(&v, sizeof(v), 0, 7);
-      EXPECT_DOUBLE_EQ(v, 42.5);
-      v += 1.0;
-      c.send_bytes(&v, sizeof(v), 0, 8);
-    }
-  });
-}
 
 TEST(ThreadComm, StatsCountReceiveSideBytes) {
   auto stats = ThreadGroup::run(3, [&](Comm& c) {
@@ -189,7 +151,6 @@ TEST(SerialComm, CollectivesAreLocal) {
   EXPECT_DOUBLE_EQ(v[0], 2.0);
   c.bcast(v.data(), v.size(), 0);
   EXPECT_DOUBLE_EQ(v[3], 2.0);
-  EXPECT_THROW(c.send_bytes(v.data(), 8, 0, 0), Error);
 }
 
 TEST(BlockPartition, CountsAndOffsetsAreConsistent) {

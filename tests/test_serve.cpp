@@ -229,7 +229,7 @@ TEST(JobEngine, CancelDeletesCheckpointFilesAndIsTerminal) {
   engine.wait(id_hog.id);
 }
 
-TEST(JobEngine, CostModelGatesAdmissionButNeverStarves) {
+TEST(JobEngine, CostEstimateGrowsWithCellsAndSteps) {
   // Larger cells cost more in the calibrated model.
   const double small = serve::JobEngine::cost_estimate(
       tiny_job("a", serve::JobKind::kAbsorption, 2));
@@ -240,24 +240,33 @@ TEST(JobEngine, CostModelGatesAdmissionButNeverStarves) {
   // More steps cost proportionally more.
   EXPECT_EQ(serve::JobEngine::cost_estimate(tiny_job("c", serve::JobKind::kAbsorption, 4)),
             2.0 * serve::JobEngine::cost_estimate(tiny_job("c", serve::JobKind::kAbsorption, 2)));
+}
 
-  // A budget below any single job's cost still runs everything (one at a
-  // time), and results are unchanged.
-  auto spec = tiny_job("solo-budget", serve::JobKind::kAbsorption, 1);
-  const auto ref = solo_trace(spec);
+// A finished job's thread is joined at the next admission, so an
+// engine that runs job after job keeps no stack of a job that has ended.
+TEST(JobEngine, FinishedJobThreadsAreJoined) {
   ScratchDir dir(::testing::UnitTest::GetInstance()->current_test_info()->name());
   serve::JobEngineOptions eopt;
-  eopt.max_running = 4;
-  eopt.cost_budget = small / 1e6;
   eopt.checkpoint_dir = dir.path;
   serve::JobEngine engine(eopt);
-  const auto id1 = engine.submit(spec);
-  const auto id2 = engine.submit(tiny_job("other", serve::JobKind::kScf, 0));
-  engine.wait_all();
-  const auto s1 = engine.wait(id1.id);
-  ASSERT_EQ(s1.state, serve::JobState::kDone) << s1.message;
-  expect_traces_identical(s1.trace, ref, "budgeted");
-  EXPECT_EQ(engine.wait(id2.id).state, serve::JobState::kDone);
+  const auto run_scf = [&](int k) {
+    // The job only carries a thread; two SCF iterations keep it short.
+    auto spec = tiny_job("lda" + std::to_string(k), serve::JobKind::kScf, 0);
+    spec.sim = serve_test::tiny_sim(/*hybrid=*/false);
+    spec.sim.scf.max_iter = 2;
+    const auto sub = engine.submit(spec);
+    ASSERT_TRUE(sub.ok()) << sub.message;
+    const auto st = engine.wait(sub.id);
+    ASSERT_EQ(st.state, serve::JobState::kDone) << st.message;
+  };
+  constexpr int kWarmup = 2, kJobs = 16;
+  for (int k = 0; k < kWarmup; ++k) run_scf(k);
+  const std::size_t before = serve_test::proc_status("VmSize:");
+  for (int k = kWarmup; k < kJobs; ++k) run_scf(k);
+  const std::size_t after = serve_test::proc_status("VmSize:");
+  EXPECT_LT(after, before + 4 * serve_test::thread_stack_kb())
+      << "VmSize grew from " << before << " kB to " << after << " kB over "
+      << kJobs - kWarmup << " jobs";
 }
 
 // The api_redesign pin: every rejection is a typed ErrorCode, not an

@@ -11,6 +11,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/timer.hpp"
 #include "serve/client.hpp"
 #include "serve/server.hpp"
 #include "serve/wire.hpp"
@@ -262,6 +263,34 @@ TEST(JobServer, UnixSocketLoopbackRunsScfJob) {
   ASSERT_EQ(st.state, serve::JobState::kDone) << st.message;
   EXPECT_TRUE(std::isfinite(st.scf_energy));
   EXPECT_LT(st.scf_energy, 0.0);
+}
+
+// A connection's handler thread is joined at the next accept, so a server
+// that takes connection after connection keeps no stack of one that ended.
+TEST(JobServer, FinishedConnectionThreadsAreJoined) {
+  ScratchDir dir("conn_reap");
+  serve::ServerOptions sopt;
+  sopt.listen = "unix:" + dir.path + "/serve.sock";
+  sopt.engine.checkpoint_dir = dir.path;
+  serve::Server server(sopt);
+  // One connection at a time: the client waits for each handler to end
+  // before it dials again, so the measurement sees the joining, not how
+  // many handlers (each with its own stack and malloc arena) a fast client
+  // can overlap.
+  const std::size_t idle_threads = serve_test::proc_status("Threads:");
+  const auto hello_then_close = [&] {
+    { serve::Client hello(server.address()); }
+    for (WallTimer t; serve_test::proc_status("Threads:") > idle_threads && t.seconds() < 10;)
+      std::this_thread::yield();
+  };
+  constexpr int kWarmup = 20, kConnections = 500;
+  for (int k = 0; k < kWarmup; ++k) hello_then_close();
+  const std::size_t before = serve_test::proc_status("VmSize:");
+  for (int k = 0; k < kConnections; ++k) hello_then_close();
+  const std::size_t after = serve_test::proc_status("VmSize:");
+  EXPECT_LT(after, before + 4 * serve_test::thread_stack_kb())
+      << "VmSize grew from " << before << " kB to " << after << " kB over " << kConnections
+      << " connections";
 }
 
 // Malformed traffic from a hostile or broken peer: every failure mode is

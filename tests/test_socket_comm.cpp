@@ -72,11 +72,6 @@ TEST(CommConcurrency, SocketDupStreamsStayIndependent) {
 
 // --- socket-specific semantics ----------------------------------------------
 
-TEST(SocketComm, OutOfOrderTagsAreParked) {
-  test::run_backend(CommBackend::kSocket, 2,
-                    [](par::Comm& c) { test::check_p2p_out_of_order(c); });
-}
-
 TEST(SocketComm, SingleRankTrivialComm) {
   const auto c = SocketComm::connect(0, 1, "unix:/tmp/unused_rv", SocketCommOptions{});
   EXPECT_EQ(c->rank(), 0);
@@ -84,20 +79,10 @@ TEST(SocketComm, SingleRankTrivialComm) {
   test::check_all_collectives(*c);
 }
 
-TEST(SocketComm, ConnectEnvSingleRank) {
-  ::setenv("PWDFT_RANKS", "1", 1);
-  ::setenv("PWDFT_RANK", "0", 1);
-  ::unsetenv("PWDFT_COMM_LISTEN");
-  const auto c = SocketComm::connect_env();
-  EXPECT_EQ(c->size(), 1);
-  ::unsetenv("PWDFT_RANKS");
-  ::unsetenv("PWDFT_RANK");
-}
-
 TEST(SocketComm, TcpLoopbackRendezvous) {
   // Forked ranks over a TCP loopback rendezvous (mesh follows the
-  // transport) — exercises the PWDFT_COMM_LISTEN path used by
-  // independently launched ranks.
+  // transport), then two ranks that each call SocketComm::connect with a
+  // fixed TCP address — the entry point of independently launched ranks.
   SocketGroup::run(2, [](par::Comm& c) { test::check_allreduce_double(c); });
   std::vector<std::thread> ranks;
   std::vector<std::string> errors(2);
@@ -156,6 +141,25 @@ TEST(SocketFaults, PeerDeathMidCollectiveIsTyped) {
         if (c.rank() == 1) std::_Exit(9);
         double v = 1.0;
         c.allreduce_sum(&v, 1);  // survivor must get a typed error, not hang
+      },
+      /*timeout_sec=*/30);
+  EXPECT_FALSE(exits[0].timed_out);
+  EXPECT_FALSE(exits[0].signaled);
+  EXPECT_EQ(exits[0].code, 4) << "rank 0 should die on a CommError";
+  EXPECT_EQ(exits[1].code, 9);
+  EXPECT_LT(t.seconds(), 30.0);
+}
+
+TEST(SocketFaults, PeerDeathDuringDupIsTyped) {
+  // dup() shares its fresh listeners by JOIN/TABLE over the parent links:
+  // rank 0 waiting for a dead peer's JOIN must fail typed, not hang.
+  WallTimer t;
+  const auto exits = SocketGroup::run_collect(
+      2,
+      [](par::Comm& c) {
+        c.barrier();  // mesh complete on both sides before the death
+        if (c.rank() == 1) std::_Exit(9);
+        c.dup();  // survivor must get a typed error, not hang
       },
       /*timeout_sec=*/30);
   EXPECT_FALSE(exits[0].timed_out);
