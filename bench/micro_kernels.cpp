@@ -1,8 +1,10 @@
 // google-benchmark microkernels for the primitives behind the paper's cost
 // model: 1-D/3-D FFTs (the Fock operator is NG-point FFT bound), batched vs
 // band-by-band FFT submission (paper §3.2 step 2), fused vs staged operator
-// pipelines, overlap-matrix GEMMs (Alg. 3), single-precision wire
-// conversion (step 4), and one full Fock pair solve.
+// pipelines, the subspace linear algebra of Alg. 3 and LOBPCG (overlap and
+// rotation GEMMs, the TRSM of the re-orthonormalization, the Jacobi
+// Rayleigh-Ritz eigensolver), single-precision wire conversion (step 4), and
+// one full Fock pair solve.
 //
 // Carries its own main(): `--json <path>` additionally writes the runs (and
 // the derived pipeline_speedup records) in the bench_json.hpp schema for
@@ -27,6 +29,7 @@
 #include "ham/hamiltonian.hpp"
 #include "linalg/blas.hpp"
 #include "linalg/cholesky.hpp"
+#include "linalg/heig.hpp"
 
 namespace {
 
@@ -208,12 +211,18 @@ void BM_SphereToGridFused(benchmark::State& state) {
 }
 BENCHMARK(BM_SphereToGridFused);
 
-void BM_OverlapGemm(benchmark::State& state) {
-  // S = Psi^H Psi for NG x Ne blocks (Alg. 3 step 2).
-  const std::size_t ng = 3375, nb = state.range(0);
-  CMatrix x(ng, nb);
-  Rng rng(9);
+CMatrix random_block(std::size_t rows, std::size_t cols, std::uint64_t seed) {
+  Rng rng(seed);
+  CMatrix x(rows, cols);
   for (std::size_t i = 0; i < x.size(); ++i) x.data()[i] = rng.complex_normal();
+  return x;
+}
+
+void BM_OverlapGemm(benchmark::State& state) {
+  // S = Psi^H Psi for NG x Ne blocks (Alg. 3 step 2); 751 x 48 is the
+  // LOBPCG Gram matrix of [X W P] on Si8 at 16 bands.
+  const std::size_t ng = state.range(0), nb = state.range(1);
+  const CMatrix x = random_block(ng, nb, 9);
   CMatrix s(nb, nb);
   for (auto _ : state) {
     linalg::gemm('C', 'N', Complex{1, 0}, x, x, Complex{0, 0}, s);
@@ -221,7 +230,62 @@ void BM_OverlapGemm(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * ng * nb * nb);
 }
-BENCHMARK(BM_OverlapGemm)->Arg(16)->Arg(32);
+BENCHMARK(BM_OverlapGemm)->Args({3375, 16})->Args({3375, 32})->Args({751, 48});
+
+void BM_GemmNN(benchmark::State& state) {
+  // Y = X * C (Alg. 3 step 4, the LOBPCG Ritz rotation and the ACE
+  // contribution -Xi P): ng x k times k x nb.
+  const std::size_t ng = state.range(0), k = state.range(1), nb = state.range(2);
+  const CMatrix x = random_block(ng, k, 10);
+  const CMatrix c = random_block(k, nb, 11);
+  CMatrix y(ng, nb);
+  for (auto _ : state) {
+    linalg::gemm('N', 'N', Complex{1, 0}, x, c, Complex{0, 0}, y);
+    benchmark::DoNotOptimize(y.data());
+  }
+  state.SetItemsProcessed(state.iterations() * ng * k * nb);
+}
+BENCHMARK(BM_GemmNN)->Args({751, 48, 16})->Args({751, 16, 16});
+
+void BM_Trsm(benchmark::State& state) {
+  // Psi L^{-H} (the Cholesky re-orthonormalization, paper §3.4). Each
+  // iteration solves a fresh copy of the same block.
+  const std::size_t ng = state.range(0), nb = state.range(1);
+  const CMatrix x0 = random_block(ng, nb, 12);
+  CMatrix l = linalg::overlap(x0, x0);
+  linalg::potrf_lower(l);
+  CMatrix x = x0;
+  for (auto _ : state) {
+    std::copy_n(x0.data(), x0.size(), x.data());
+    linalg::trsm_right_lower_conj(x, l);
+    benchmark::DoNotOptimize(x.data());
+  }
+  state.SetItemsProcessed(state.iterations() * ng * nb * nb / 2);
+}
+BENCHMARK(BM_Trsm)->Args({751, 48});
+
+void BM_Heig(benchmark::State& state) {
+  // A Rayleigh-Ritz matrix S^H (H S) of LOBPCG: S orthonormal, H a
+  // Hermitian operator with clustered low eigenvalues and a spread-out tail.
+  const std::size_t n = state.range(0), ng = 751;
+  CMatrix s = random_block(ng, n, 13);
+  CMatrix g = linalg::overlap(s, s);
+  linalg::potrf_lower(g);
+  linalg::trsm_right_lower_conj(s, g);
+  CMatrix hs = s;
+  for (std::size_t i = 0; i < ng; ++i) {
+    const double h = (i < n / 2) ? -0.3 + 1e-6 * static_cast<double>(i % 3) : 0.05 * i;
+    for (std::size_t j = 0; j < n; ++j) hs(i, j) *= h;
+  }
+  const CMatrix a = linalg::overlap(s, hs);
+  std::vector<double> evals;
+  CMatrix v;
+  for (auto _ : state) {
+    linalg::heig(a, evals, v);
+    benchmark::DoNotOptimize(v.data());
+  }
+}
+BENCHMARK(BM_Heig)->Arg(32)->Arg(48);
 
 void BM_SinglePrecisionWireConversion(benchmark::State& state) {
   // The §3.2 step-4 conversion: complex<double> -> complex<float> -> back.

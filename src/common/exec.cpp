@@ -486,6 +486,12 @@ std::span<std::complex<float>> Workspace::fbuf(Slot s, std::size_t n) {
   return {v.data(), n};
 }
 
+std::span<std::size_t> Workspace::ibuf(Slot s, std::size_t n) {
+  auto& v = i_[static_cast<std::size_t>(s)];
+  if (v.size() < n) v.resize(n);
+  return {v.data(), n};
+}
+
 CMatrix& Workspace::cmat(Slot s, std::size_t rows, std::size_t cols) {
   CMatrix& m = m_[static_cast<std::size_t>(s)];
   m.reshape(rows, cols);
@@ -498,6 +504,7 @@ std::size_t Workspace::bytes_reserved() const {
     b += c_[i].capacity() * sizeof(Complex);
     b += r_[i].capacity() * sizeof(double);
     b += f_[i].capacity() * sizeof(std::complex<float>);
+    b += i_[i].capacity() * sizeof(std::size_t);
     b += m_[i].size() * sizeof(Complex);
   }
   return b;

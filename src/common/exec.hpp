@@ -419,9 +419,11 @@ enum class Slot : std::size_t {
   fock_psi_real,
   fock_acc,
   fock_win,  ///< per-band window contributions before the ordered reduction
-  // Wavefunction transpose pack/unpack wire buffers.
+  // Wavefunction transpose pack/unpack wire buffers and the byte
+  // counts/displacements of the Alltoallv (ibuf).
   trans_send,
   trans_recv,
+  trans_plan,
   // Per-band norm/scalar slots (LOBPCG residuals, CN residual norms).
   band_norms,
   // LOBPCG per-iteration blocks.
@@ -470,6 +472,8 @@ class Workspace {
   std::span<double> rbuf(Slot s, std::size_t n);
   /// complex<float> buffer (single-precision comm wire, paper §3.2 step 4).
   std::span<std::complex<float>> fbuf(Slot s, std::size_t n);
+  /// size_t buffer (Alltoallv counts and displacements).
+  std::span<std::size_t> ibuf(Slot s, std::size_t n);
   /// Matrix reshaped to rows x cols, reusing capacity. Only elements the
   /// caller writes are meaningful.
   CMatrix& cmat(Slot s, std::size_t rows, std::size_t cols);
@@ -482,6 +486,7 @@ class Workspace {
   std::vector<Complex> c_[kSlots];
   std::vector<double> r_[kSlots];
   std::vector<std::complex<float>> f_[kSlots];
+  std::vector<std::size_t> i_[kSlots];
   CMatrix m_[kSlots];
 };
 

@@ -5,6 +5,7 @@
 #include <numeric>
 
 #include "common/check.hpp"
+#include "linalg/lanes.hpp"
 
 namespace pwdft::linalg {
 
@@ -16,6 +17,40 @@ double offdiag_norm(const CMatrix& a) {
   for (std::size_t j = 0; j < n; ++j)
     for (std::size_t i = j + 1; i < n; ++i) acc += std::norm(a(i, j));
   return std::sqrt(2.0 * acc);
+}
+
+using lanes::V2;
+
+/// The Jacobi unitary acting on a column pair: c, s conj(phase) and -s phase.
+struct Rotation {
+  V2 c;
+  lanes::Coef t1, t2;
+};
+
+/// (xp, xq) <- (c xp + t1 xq, t2 xp + c xq) for one row, in the real
+/// arithmetic of the complex expressions (lanes.hpp).
+void rotate(const Rotation& r, Complex* xp, Complex* xq) {
+  const V2 p = lanes::load(xp), q = lanes::load(xq);
+  lanes::store(xp, r.c * p + lanes::mul(r.t1, q));
+  lanes::store(xq, lanes::mul(r.t2, p) + r.c * q);
+}
+
+/// rotate() on rows [i0, i1) of columns p and q of A, none of them p or q,
+/// writing each new A(i,p), A(i,q) conjugated into A(p,i), A(q,i).
+void rotate_mirrored(const Rotation& r, CMatrix& a, std::size_t p, std::size_t q,
+                     std::size_t i0, std::size_t i1) {
+  const std::size_t n = a.rows();
+  Complex* ap = a.col(p);
+  Complex* aq = a.col(q);
+  for (std::size_t i = i0; i < i1; ++i) {
+    const V2 xp = lanes::load(ap + i), xq = lanes::load(aq + i);
+    const V2 np = r.c * xp + lanes::mul(r.t1, xq);
+    const V2 nq = lanes::mul(r.t2, xp) + r.c * xq;
+    lanes::store(ap + i, np);
+    lanes::store(aq + i, nq);
+    lanes::store(a.data() + p + i * n, lanes::conj(np));  // A(p,i)
+    lanes::store(a.data() + q + i * n, lanes::conj(nq));  // A(q,i)
+  }
 }
 
 }  // namespace
@@ -60,24 +95,25 @@ void heig(const CMatrix& a_in, std::vector<double>& evals, CMatrix& v) {
         const double c = 1.0 / std::sqrt(1.0 + t * t);
         const double s = c * t;
 
-        // Column update: A <- A U.
-        for (std::size_t i = 0; i < n; ++i) {
-          const Complex aip = a(i, p), aiq = a(i, q);
-          a(i, p) = c * aip + s * std::conj(phase) * aiq;
-          a(i, q) = -s * phase * aip + c * aiq;
-        }
-        // Row update: A <- U^H A.
-        for (std::size_t j = 0; j < n; ++j) {
+        // Column update A <- A U on rows i, and V <- V U:
+        //   x_ip <- c x_ip + (s conj(phase)) x_iq,  x_iq <- (-s phase) x_ip + c x_iq.
+        const Rotation rot{lanes::splat(c), lanes::coef(s * std::conj(phase)),
+                           lanes::coef(-s * phase)};
+        // Row update A <- U^H A. Outside the 2x2 block it is the conjugate of
+        // the column update, bit for bit: the hermitized A stays exactly
+        // Hermitian off the diagonal, so rows p and q are written as the
+        // conjugates of the fresh columns instead of being recomputed.
+        rotate_mirrored(rot, a, p, q, 0, p);
+        rotate(rot, &a(p, p), &a(p, q));
+        rotate_mirrored(rot, a, p, q, p + 1, q);
+        rotate(rot, &a(q, p), &a(q, q));
+        rotate_mirrored(rot, a, p, q, q + 1, n);
+        for (const std::size_t j : {p, q}) {
           const Complex apj = a(p, j), aqj = a(q, j);
           a(p, j) = c * apj + s * phase * aqj;
           a(q, j) = -s * std::conj(phase) * apj + c * aqj;
         }
-        // Accumulate eigenvectors: V <- V U.
-        for (std::size_t i = 0; i < n; ++i) {
-          const Complex vip = v(i, p), viq = v(i, q);
-          v(i, p) = c * vip + s * std::conj(phase) * viq;
-          v(i, q) = -s * phase * vip + c * viq;
-        }
+        for (std::size_t i = 0; i < n; ++i) rotate(rot, &v(i, p), &v(i, q));
         a(p, q) = Complex{0.0, 0.0};
         a(q, p) = Complex{0.0, 0.0};
       }

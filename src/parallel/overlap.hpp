@@ -25,10 +25,12 @@
 /// Results are bit-identical to the synchronous call: pack/exchange/unpack
 /// move bytes, they never reassociate arithmetic.
 ///
-/// Wire buffers are owned by the instance (monotonically grown, so steady
-/// state allocates nothing) rather than taken from the workspace arena: a
-/// synchronous transpose — or a second TransposeOverlap — issued while an
-/// exchange is in flight can therefore never alias the in-flight wires.
+/// Wire buffers and the Alltoallv plan are owned by the instance
+/// (monotonically grown and reused, so the instance allocates nothing in
+/// steady state; the async lane's task future still does) rather than
+/// taken from the workspace arena: a synchronous transpose — or a second
+/// TransposeOverlap — issued while an exchange is in flight can therefore
+/// never alias the in-flight wires or plan.
 ///
 /// Scheduling contract: start_*() and the first-use dup() are collective on
 /// the parent; every rank must start/wait the same transposes in the same

@@ -24,30 +24,39 @@ std::span<Wire> wire_buf(exec::Slot slot, std::size_t n) {
 
 /// Byte counts/displacements of one transpose direction: block (dst <- src)
 /// carries the sub-matrix of src's local bands restricted to dst's G rows,
-/// in band-major order.
+/// in band-major order. The four arrays are views of caller-owned storage
+/// of plan_size(np) elements, so building a plan allocates nothing.
 struct Plan {
-  std::vector<std::size_t> scounts, sdispls, rcounts, rdispls;
+  const std::size_t* scounts = nullptr;
+  const std::size_t* sdispls = nullptr;
+  const std::size_t* rcounts = nullptr;
+  const std::size_t* rdispls = nullptr;
   std::size_t sbytes = 0, rbytes = 0;
 };
 
+/// Elements of storage a plan over np ranks needs.
+std::size_t plan_size(int np) { return 4 * static_cast<std::size_t>(np); }
+
 template <typename Wire>
-Plan make_plan(int np, int me, const BlockPartition& gvecs, const BlockPartition& bands,
-               bool to_g) {
-  Plan plan;
-  plan.scounts.resize(np);
-  plan.sdispls.resize(np);
-  plan.rcounts.resize(np);
-  plan.rdispls.resize(np);
+Plan make_plan(std::span<std::size_t> storage, int np, int me, const BlockPartition& gvecs,
+               const BlockPartition& bands, bool to_g) {
+  PWDFT_ASSERT(storage.size() >= plan_size(np));
+  const std::size_t n = static_cast<std::size_t>(np);
+  std::size_t* scounts = storage.data();
+  std::size_t* sdispls = scounts + n;
+  std::size_t* rcounts = sdispls + n;
+  std::size_t* rdispls = rcounts + n;
+  Plan plan{scounts, sdispls, rcounts, rdispls};
   for (int r = 0; r < np; ++r) {
     // Element counts of the exchanged blocks.
     const std::size_t fwd = bands.count(me) * gvecs.count(r);  // me -> r (band_to_g)
     const std::size_t bwd = bands.count(r) * gvecs.count(me);  // r -> me (band_to_g)
-    plan.scounts[r] = (to_g ? fwd : bwd) * sizeof(Wire);
-    plan.rcounts[r] = (to_g ? bwd : fwd) * sizeof(Wire);
-    plan.sdispls[r] = plan.sbytes;
-    plan.rdispls[r] = plan.rbytes;
-    plan.sbytes += plan.scounts[r];
-    plan.rbytes += plan.rcounts[r];
+    scounts[r] = (to_g ? fwd : bwd) * sizeof(Wire);
+    rcounts[r] = (to_g ? bwd : fwd) * sizeof(Wire);
+    sdispls[r] = plan.sbytes;
+    rdispls[r] = plan.rbytes;
+    plan.sbytes += scounts[r];
+    plan.rbytes += rcounts[r];
   }
   return plan;
 }
@@ -62,7 +71,7 @@ void pack_phase(const Plan& plan, int np, const BlockPartition& gvecs,
   const std::size_t nb_loc = bands.count(me);
   const std::size_t ng_loc = gvecs.count(me);
   const std::size_t nb_tot = bands.total();
-  const std::size_t* sdispls = plan.sdispls.data();
+  const std::size_t* sdispls = plan.sdispls;
   if (to_g) {
     PWDFT_CHECK(in.rows() == gvecs.total() && in.cols() == nb_loc,
                 "band_to_g: bad band-local shape");
@@ -92,8 +101,7 @@ void pack_phase(const Plan& plan, int np, const BlockPartition& gvecs,
 /// Exchange phase: the only phase that touches the communicator.
 void exchange_phase(Comm& comm, const Plan& plan, const unsigned char* send,
                     unsigned char* recv) {
-  comm.alltoallv_bytes(send, plan.scounts.data(), plan.sdispls.data(), recv,
-                       plan.rcounts.data(), plan.rdispls.data());
+  comm.alltoallv_bytes(send, plan.scounts, plan.sdispls, recv, plan.rcounts, plan.rdispls);
 }
 
 /// Unpack phase: each task owns a full output column (or a disjoint row
@@ -105,7 +113,7 @@ void unpack_phase(const Plan& plan, int np, const BlockPartition& gvecs,
   const std::size_t nb_loc = bands.count(me);
   const std::size_t ng_loc = gvecs.count(me);
   const std::size_t nb_tot = bands.total();
-  const std::size_t* rdispls = plan.rdispls.data();
+  const std::size_t* rdispls = plan.rdispls;
   if (to_g) {
     out.resize(ng_loc, nb_tot);
     exec::parallel_for(nb_tot, [&](std::size_t b, std::size_t e) {
@@ -131,14 +139,15 @@ void unpack_phase(const Plan& plan, int np, const BlockPartition& gvecs,
   }
 }
 
-/// Synchronous call: the three phases back to back, wires from the calling
-/// thread's workspace arena (steady-state calls allocate nothing).
+/// Synchronous call: the three phases back to back, plan and wires from the
+/// calling thread's workspace arena (steady-state calls allocate nothing).
 template <typename Wire>
 void transpose_impl(Comm& comm, const BlockPartition& gvecs, const BlockPartition& bands,
                     bool to_g, const CMatrix& in, CMatrix& out) {
   const int np = comm.size();
   const int me = comm.rank();
-  const Plan plan = make_plan<Wire>(np, me, gvecs, bands, to_g);
+  const Plan plan = make_plan<Wire>(exec::workspace().ibuf(exec::Slot::trans_plan, plan_size(np)),
+                                    np, me, gvecs, bands, to_g);
   auto sendbuf = wire_buf<Wire>(exec::Slot::trans_send, plan.sbytes / sizeof(Wire));
   auto recvbuf = wire_buf<Wire>(exec::Slot::trans_recv, plan.rbytes / sizeof(Wire));
   pack_phase<Wire>(plan, np, gvecs, bands, me, to_g, in, sendbuf.data());
@@ -170,12 +179,16 @@ void WavefunctionTranspose::g_to_band(Comm& comm, const CMatrix& g_local, CMatri
 // the overlap engine and the synchronous call share one set of phase
 // kernels — one mechanism, not two.
 
+/// The in-flight transpose. Allocated at the first start() and reused, with
+/// its plan storage, by every later one: steady state allocates nothing.
 struct TransposeOverlap::Pending {
+  std::vector<std::size_t> plan_storage;
   Plan plan;
   const WavefunctionTranspose* transpose = nullptr;
   CMatrix* out = nullptr;
   bool to_g = true;
   bool single = false;
+  bool active = false;
   int np = 0, me = 0;
 };
 
@@ -197,40 +210,44 @@ void TransposeOverlap::start_g_to_band(const WavefunctionTranspose& t, Comm& com
 
 void TransposeOverlap::start(const WavefunctionTranspose& t, Comm& comm, const CMatrix& in,
                              CMatrix& out, bool to_g, bool single_precision) {
-  PWDFT_CHECK(!pending_, "TransposeOverlap: a transpose is already in flight");
+  PWDFT_CHECK(!(pending_ && pending_->active),
+              "TransposeOverlap: a transpose is already in flight");
   if (!ocomm_) ocomm_ = comm.dup();  // collective: first start() of every rank
+  if (!pending_) pending_ = std::make_unique<Pending>();
 
-  auto p = std::make_unique<Pending>();
-  p->transpose = &t;
-  p->out = &out;
-  p->to_g = to_g;
-  p->single = single_precision;
-  p->np = ocomm_->size();
-  p->me = ocomm_->rank();
-  p->plan = single_precision
-                ? make_plan<ComplexF>(p->np, p->me, t.gvecs(), t.bands(), to_g)
-                : make_plan<Complex>(p->np, p->me, t.gvecs(), t.bands(), to_g);
-  if (send_.size() < p->plan.sbytes) send_.resize(p->plan.sbytes);
-  if (recv_.size() < p->plan.rbytes) recv_.resize(p->plan.rbytes);
+  Pending& p = *pending_;
+  p.transpose = &t;
+  p.out = &out;
+  p.to_g = to_g;
+  p.single = single_precision;
+  p.np = ocomm_->size();
+  p.me = ocomm_->rank();
+  if (p.plan_storage.size() < plan_size(p.np)) p.plan_storage.resize(plan_size(p.np));
+  p.plan = single_precision
+               ? make_plan<ComplexF>(p.plan_storage, p.np, p.me, t.gvecs(), t.bands(), to_g)
+               : make_plan<Complex>(p.plan_storage, p.np, p.me, t.gvecs(), t.bands(), to_g);
+  if (send_.size() < p.plan.sbytes) send_.resize(p.plan.sbytes);
+  if (recv_.size() < p.plan.rbytes) recv_.resize(p.plan.rbytes);
 
   // Pack on the calling thread (engine-parallel) so the parked task is pure
   // wire exchange; the instance-owned buffers keep the bytes alive and
   // un-aliased for the helper's lifetime.
   if (single_precision)
-    pack_phase<ComplexF>(p->plan, p->np, t.gvecs(), t.bands(), p->me, to_g, in,
+    pack_phase<ComplexF>(p.plan, p.np, t.gvecs(), t.bands(), p.me, to_g, in,
                          reinterpret_cast<ComplexF*>(send_.data()));
   else
-    pack_phase<Complex>(p->plan, p->np, t.gvecs(), t.bands(), p->me, to_g, in,
+    pack_phase<Complex>(p.plan, p.np, t.gvecs(), t.bands(), p.me, to_g, in,
                         reinterpret_cast<Complex*>(send_.data()));
 
-  pending_ = std::move(p);
+  p.active = true;
   lane_.run([this] { exchange_phase(*ocomm_, pending_->plan, send_.data(), recv_.data()); });
 }
 
 void TransposeOverlap::wait() {
-  if (!pending_) return;
+  if (!pending_ || !pending_->active) return;
   lane_.wait();  // rethrows a failed exchange
-  const Pending& p = *pending_;
+  Pending& p = *pending_;
+  p.active = false;
   const auto& t = *p.transpose;
   if (p.single)
     unpack_phase<ComplexF>(p.plan, p.np, t.gvecs(), t.bands(), p.me, p.to_g,
@@ -238,7 +255,6 @@ void TransposeOverlap::wait() {
   else
     unpack_phase<Complex>(p.plan, p.np, t.gvecs(), t.bands(), p.me, p.to_g,
                           reinterpret_cast<const Complex*>(recv_.data()), *p.out);
-  pending_.reset();
 }
 
 void TransposeOverlap::fold_stats(Comm& parent) {

@@ -11,9 +11,11 @@
 /// communication-volume halving on Summit; data is converted back to double
 /// on arrival.
 ///
-/// Wire buffers come from the calling thread's workspace arena (steady-state
-/// calls allocate nothing) and the pack/unpack column copies run on the exec
-/// engine (bit-identical at any thread count). Both methods are collectives
+/// The Alltoallv plan (counts, displacements) and the wire buffers come from
+/// the calling thread's workspace arena, so steady-state calls allocate
+/// nothing (tests/test_alloc_free.cpp, through AceOperator::apply_add), and
+/// the pack/unpack column copies run on the exec engine (bit-identical at
+/// any thread count). Both methods are collectives
 /// on `comm`. Internally each call is three phases — pack, exchange, unpack
 /// — and par::TransposeOverlap (overlap.hpp) mounts those phases around
 /// caller compute: pack up front, the exchange parked on the exec engine's

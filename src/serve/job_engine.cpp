@@ -111,28 +111,29 @@ JobEngine::~JobEngine() {
   for (std::thread& t : threads_) t.join();
 }
 
-SubmitResult JobEngine::register_locked(JobSpec spec, bool persist_spec) {
+SubmitResult JobEngine::check_locked(const JobSpec& spec) const {
   if (shutdown_) return {ErrorCode::kShutdown, 0, "engine is shutting down"};
   std::string why;
   if (spec.validate(&why) != ErrorCode::kOk) return {ErrorCode::kInvalidSpec, 0, why};
+  const std::string dup = "duplicate job name '" + spec.name + "'";
   for (const auto& j : jobs_)
-    if (j->spec.name == spec.name)
-      return {ErrorCode::kDuplicateName, j->id, "duplicate job name '" + spec.name + "'"};
+    if (j->spec.name == spec.name) return {ErrorCode::kDuplicateName, j->id, dup};
+  if (std::find(reserved_.begin(), reserved_.end(), spec.name) != reserved_.end())
+    return {ErrorCode::kDuplicateName, 0, dup};
+  return {};
+}
+
+std::unique_ptr<JobEngine::Job> JobEngine::make_job(JobSpec spec) const {
   auto job = std::make_unique<Job>();
-  job->id = jobs_.size();
   job->model_cost = cost_estimate(spec);
-  job->submit_order = jobs_.size();
   job->spec = std::move(spec);
   job->set_paths(opt_.checkpoint_dir);
-  if (persist_spec) {
-    // The durable spec is what recover() replays after a process restart;
-    // a job that cannot be made durable is not accepted at all.
-    try {
-      wire::save_spec_file(job->spec_path, job->spec);
-    } catch (const Error& e) {
-      return {ErrorCode::kIoError, 0, e.what()};
-    }
-  }
+  return job;
+}
+
+SubmitResult JobEngine::publish_locked(std::unique_ptr<Job> job) {
+  job->id = jobs_.size();
+  job->submit_order = jobs_.size();
   jobs_.push_back(std::move(job));
   const JobId id = jobs_.back()->id;
   pump_locked();
@@ -140,8 +141,26 @@ SubmitResult JobEngine::register_locked(JobSpec spec, bool persist_spec) {
 }
 
 SubmitResult JobEngine::submit(JobSpec spec) {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (SubmitResult r = check_locked(spec); !r.ok()) return r;
+    reserved_.push_back(spec.name);  // no other submit or recover() takes it now
+  }
+  // The durable spec is what recover() replays after a process restart; a
+  // job that cannot be made durable is not accepted at all. The write (two
+  // fsyncs) runs without mu_, so status/wait callers and running jobs'
+  // step publishes never queue behind a disk flush.
+  auto job = make_job(std::move(spec));
+  SubmitResult failed;
+  try {
+    wire::save_spec_file(job->spec_path, job->spec);
+  } catch (const Error& e) {
+    failed = {ErrorCode::kIoError, 0, e.what()};
+  }
   std::lock_guard<std::mutex> lock(mu_);
-  return register_locked(std::move(spec), /*persist_spec=*/true);
+  reserved_.erase(std::find(reserved_.begin(), reserved_.end(), job->spec.name));
+  if (!failed.ok()) return failed;
+  return publish_locked(std::move(job));
 }
 
 std::vector<JobId> JobEngine::recover() {
@@ -164,13 +183,11 @@ std::vector<JobId> JobEngine::recover() {
     const std::string path = opt_.checkpoint_dir + "/" + name + kSpecSuffix;
     if (wire::load_spec_file(path, &spec) != ErrorCode::kOk) continue;
     if (spec.name != name) continue;  // snapshot must match its own key
+    // Its spec is already on disk: check and publish under one lock, with
+    // no write. A known or reserved name is skipped as a duplicate.
     std::lock_guard<std::mutex> lock(mu_);
-    bool known = false;
-    for (const auto& j : jobs_)
-      if (j->spec.name == name) known = true;
-    if (known) continue;
-    const SubmitResult r = register_locked(std::move(spec), /*persist_spec=*/false);
-    if (r.ok()) ids.push_back(r.id);
+    if (!check_locked(spec).ok()) continue;
+    ids.push_back(publish_locked(make_job(std::move(spec))).id);
   }
   return ids;
 }

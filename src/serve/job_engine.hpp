@@ -95,7 +95,12 @@ class JobEngine {
 
   /// Validates, durably records, and enqueues a job, starting it
   /// immediately if admission allows. Job names must be unique within the
-  /// engine (they key checkpoint files).
+  /// engine (they key checkpoint files): the name is reserved under the
+  /// engine lock, the spec is written without it (so no status/wait caller
+  /// or running job waits on the flush), and the job is published under it
+  /// again. A failed write returns kIoError and frees the name. A submit
+  /// that races begin_shutdown() may still be accepted; it stays kQueued
+  /// with its spec on disk, as recover() expects.
   SubmitResult submit(JobSpec spec);
 
   /// Cooperative kill: a queued job is marked preempted before it starts; a
@@ -166,8 +171,15 @@ class JobEngine {
   void reap_locked();
   /// Worker-thread body for one admitted job.
   void run_job(Job& job);
-  /// Registers a validated spec as a queued job. Caller holds mu_.
-  SubmitResult register_locked(JobSpec spec, bool persist_spec);
+  /// Shutdown, validity and name checks of a spec: kOk, or the typed
+  /// rejection. A name is taken once a job holds it or a submit() has
+  /// reserved it for its spec write. Caller holds mu_.
+  SubmitResult check_locked(const JobSpec& spec) const;
+  /// The queued record of a spec, paths and model price set, id not yet.
+  std::unique_ptr<Job> make_job(JobSpec spec) const;
+  /// Assigns the next id, appends the job and admits what slots allow.
+  /// Caller holds mu_.
+  SubmitResult publish_locked(std::unique_ptr<Job> job);
   /// Engine-level PlanewaveSetup cache (keyed by cells/ecut/dense_factor).
   std::shared_ptr<const ham::PlanewaveSetup> setup_for(const core::SimulationOptions& sim);
 
@@ -175,6 +187,8 @@ class JobEngine {
   mutable std::mutex mu_;
   std::condition_variable cv_;
   std::vector<std::unique_ptr<Job>> jobs_;
+  /// Names of submits whose spec write is in flight (outside mu_).
+  std::vector<std::string> reserved_;
   std::vector<std::thread> threads_;
   /// Job threads that have ended and wait to be joined by the next admission.
   std::vector<std::thread::id> finished_;

@@ -1,8 +1,9 @@
 // Verifies the workspace-arena contract: after a warm-up call, the hot paths
-// (FockOperator::apply_add band loop, compute_density, hartree_potential,
-// Hamiltonian::apply, AndersonMixer::mix and the per-band PT-CN mixing loop)
-// perform no per-call heap allocations beyond their documented return
-// values. Allocation counting works by overriding the global operator new
+// (FockOperator::apply_add band loop, AceOperator::apply_add with its two
+// transposes and GEMMs, compute_density,
+// hartree_potential, Hamiltonian::apply, AndersonMixer::mix and the per-band
+// PT-CN mixing loop) perform no per-call heap allocations beyond their
+// documented return values. Allocation counting works by overriding the global operator new
 // for this test binary.
 
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 
 #include "common/exec.hpp"
 #include "common/random.hpp"
+#include "ham/ace.hpp"
 #include "ham/density.hpp"
 #include "ham/fock.hpp"
 #include "ham/hamiltonian.hpp"
@@ -86,6 +88,26 @@ TEST_F(AllocFreeHotPaths, FockApplyAddAllocatesNothingAfterWarmup) {
   const std::size_t n_alloc = allocations([&] { fock.apply_add(phi, y, comm); });
   EXPECT_EQ(n_alloc, 0u) << "FockOperator::apply_add must draw all band-loop "
                             "buffers from the workspace arena";
+}
+
+TEST_F(AllocFreeHotPaths, AceApplyAddAllocatesNothingAfterWarmup) {
+  // Two transposes (plan and wires from the arena), Xi^H psi through
+  // overlap_into and -Xi P through the tiled gemm, all into ace_* slots.
+  const std::size_t nb = 4;
+  par::SerialComm comm;
+  ham::FockOperator fock(setup_, xc::HybridParams{true, 0.25, 0.11});
+  CMatrix phi = orthonormal_block(nb, 31);
+  std::vector<double> occ(nb, 2.0);
+  fock.set_orbitals(phi, occ, par::BlockPartition(nb, 1), comm);
+  ham::AceOperator ace(setup_);
+  ace.build(fock, phi, comm);
+  CMatrix y(setup_.n_g(), nb, Complex{0.0, 0.0});
+
+  ace.apply_add(phi, y, comm);  // warm up every arena slot
+  ace.apply_add(phi, y, comm);
+  const std::size_t n_alloc = allocations([&] { ace.apply_add(phi, y, comm); });
+  EXPECT_EQ(n_alloc, 0u) << "AceOperator::apply_add must take its transpose plans, "
+                            "wires and GEMM blocks from the workspace arena";
 }
 
 TEST_F(AllocFreeHotPaths, ComputeDensityAllocatesOnlyTheResult) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
@@ -304,6 +305,68 @@ TEST(JobEngine, SnapshotWriteFailureFailsJobWithIoError) {
   EXPECT_EQ(st.error, serve::ErrorCode::kIoError) << st.message;
   EXPECT_NE(st.message.find(dir.path + "/diskfull.gs.ckpt"), std::string::npos) << st.message;
   EXPECT_FALSE(std::filesystem::exists(dir.path + "/diskfull.gs.ckpt.tmp"));
+}
+
+// The name is reserved under the engine lock before the spec write, which
+// runs without it: of N racing submits of one name exactly one is accepted.
+TEST(JobEngine, ConcurrentSubmitsOfOneNameAcceptExactlyOne) {
+  ScratchDir dir(::testing::UnitTest::GetInstance()->current_test_info()->name());
+  serve::JobEngineOptions eopt;
+  eopt.checkpoint_dir = dir.path;
+  serve::JobEngine engine(eopt);
+  auto spec = tiny_job("same", serve::JobKind::kScf, 0);
+  spec.sim = serve_test::tiny_sim(/*hybrid=*/false);
+  spec.sim.scf.max_iter = 2;
+  constexpr int kThreads = 8;
+  std::vector<serve::SubmitResult> results(kThreads);
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      results[t] = engine.submit(spec);
+    });
+  for (auto& th : threads) th.join();
+  int accepted = 0, duplicates = 0;
+  serve::JobId id = 0;
+  for (const auto& r : results) {
+    if (r.ok()) {
+      ++accepted;
+      id = r.id;
+    }
+    if (r.error == serve::ErrorCode::kDuplicateName) ++duplicates;
+  }
+  EXPECT_EQ(accepted, 1);
+  EXPECT_EQ(duplicates, kThreads - 1);
+  EXPECT_EQ(engine.job_count(), 1u);
+  EXPECT_EQ(engine.wait(id).state, serve::JobState::kDone);
+}
+
+// A spec that cannot be made durable is not accepted: the submit returns
+// kIoError, registers no job, and frees the name for a later submit.
+TEST(JobEngine, SpecWriteFailureReturnsIoErrorAndFreesTheName) {
+  ScratchDir dir(::testing::UnitTest::GetInstance()->current_test_info()->name());
+  serve::JobEngineOptions eopt;
+  eopt.checkpoint_dir = dir.path;
+  serve::JobEngine engine(eopt);
+  auto spec = tiny_job("nospace", serve::JobKind::kScf, 0);
+  spec.sim = serve_test::tiny_sim(/*hybrid=*/false);
+  spec.sim.scf.max_iter = 2;
+  const serve::SubmitResult failed = [&] {  // the limit is lifted before any EXPECT prints
+    test::FileSizeLimit limit(16);          // below any spec frame
+    return engine.submit(spec);
+  }();
+  EXPECT_EQ(failed.error, serve::ErrorCode::kIoError) << failed.message;
+  EXPECT_EQ(engine.job_count(), 0u);
+  EXPECT_FALSE(engine.find("nospace").has_value());
+  EXPECT_FALSE(std::filesystem::exists(dir.path + "/nospace.spec.ckpt"));
+  EXPECT_FALSE(std::filesystem::exists(dir.path + "/nospace.spec.ckpt.tmp"));
+
+  const serve::SubmitResult again = engine.submit(spec);
+  ASSERT_TRUE(again.ok()) << again.message;
+  EXPECT_EQ(again.id, 0u);
+  EXPECT_EQ(engine.wait(again.id).state, serve::JobState::kDone);
 }
 
 TEST(JobSpec, ValidateRejectsHostileAndUnphysicalSpecs) {
