@@ -3,7 +3,8 @@
 // rt-TDDFT system by 50 attoseconds on this machine (Si8, reduced cutoff so
 // the run finishes in seconds). The paper's 20-30x speedup comes from the
 // same mechanism exercised here: ~100x fewer Fock-bearing H applications
-// per unit time, paid back by ~22 SCF iterations per PT-CN step.
+// per unit time, paid back by the SCF iterations of each PT-CN step (~22 in
+// the paper on Si1536; the table prints this code's count).
 
 #include <cstdio>
 

@@ -354,68 +354,85 @@ std::exception_ptr TaskGraph::take_error() {
   return err;
 }
 
-std::future<void> ThreadPool::run_async(std::function<void()> task) {
-  std::packaged_task<void()> pt(std::move(task));
-  std::future<void> fut = pt.get_future();
+void ThreadPool::submit_async(AsyncTask& task) {
   {
     std::lock_guard<std::mutex> lk(async_mutex_);
-    PWDFT_CHECK(!async_stop_, "ThreadPool: run_async after shutdown");
-    async_queue_.push_back(std::move(pt));
+    PWDFT_CHECK(!async_stop_, "ThreadPool: submit_async after shutdown");
+    task.done = false;
+    task.next = nullptr;
+    (async_tail_ ? async_tail_->next : async_head_) = &task;
+    async_tail_ = &task;
+    ++async_pending_;
     // Every parked helper can drain exactly one pending task; tasks beyond
     // that could wait forever behind a *blocking* task (e.g. a collective
     // broadcast that needs another rank's task to run to complete), so spawn
     // a helper whenever pending tasks exceed parked helpers.
-    if (async_queue_.size() > async_idle_)
-      async_threads_.emplace_back([this] { async_loop(); });
+    if (async_pending_ > async_idle_) async_threads_.emplace_back([this] { async_loop(); });
   }
   async_cv_.notify_one();
-  return fut;
+}
+
+void ThreadPool::wait_async(AsyncTask& task) {
+  std::unique_lock<std::mutex> lk(async_mutex_);
+  async_done_cv_.wait(lk, [&] { return task.done; });
 }
 
 void ThreadPool::async_loop() {
   tl_in_async = true;
+  std::unique_lock<std::mutex> lk(async_mutex_);
   for (;;) {
-    std::packaged_task<void()> task;
-    {
-      std::unique_lock<std::mutex> lk(async_mutex_);
-      ++async_idle_;
-      async_cv_.wait(lk, [&] { return async_stop_ || !async_queue_.empty(); });
-      --async_idle_;
-      if (async_queue_.empty()) return;  // stop requested and drained
-      task = std::move(async_queue_.front());
-      async_queue_.pop_front();
-    }
-    task();
+    // Counted idle in the same critical section that published the previous
+    // task's completion: its waiter's next submission sees this helper
+    // parked and spawns no new one.
+    ++async_idle_;
+    async_cv_.wait(lk, [&] { return async_stop_ || async_head_ != nullptr; });
+    --async_idle_;
+    if (!async_head_) return;  // stop requested and drained
+    AsyncTask* task = async_head_;
+    async_head_ = task->next;
+    if (!async_head_) async_tail_ = nullptr;
+    --async_pending_;
+    lk.unlock();
+    task->run(*task);
+    lk.lock();
+    task->done = true;  // the owner may free `task` from here on
+    async_done_cv_.notify_all();
   }
 }
 
 TaskGroup::~TaskGroup() {
-  for (auto& f : futures_) {
-    if (!f.valid()) continue;
-    try {
-      f.get();
-    } catch (...) {
-      // Destructor path: the owner is already unwinding (or forgot to call
-      // wait()); the error must not escape.
-    }
-  }
+  // Destructor path: the owner is already unwinding (or forgot to call
+  // wait()); the error must not escape.
+  (void)join();
 }
 
-void TaskGroup::run(std::function<void()> task) {
-  futures_.push_back(pool().run_async(std::move(task)));
+TaskGroup::Slot& TaskGroup::next_slot() {
+  PWDFT_CHECK(count_ < kMaxTasks, "TaskGroup: more than kMaxTasks tasks in flight");
+  return slots_[count_];
+}
+
+void TaskGroup::submit(Slot& s) {
+  ThreadPool& p = pool();
+  PWDFT_CHECK(!pool_ || pool_ == &p, "TaskGroup: the engine was rebuilt with tasks in flight");
+  p.submit_async(s);
+  pool_ = &p;
+  ++count_;
+}
+
+std::exception_ptr TaskGroup::join() {
+  std::exception_ptr first;
+  for (std::size_t i = 0; i < count_; ++i) {
+    pool_->wait_async(slots_[i]);
+    if (!first) first = slots_[i].error;
+    slots_[i].error = nullptr;
+  }
+  count_ = 0;
+  pool_ = nullptr;
+  return first;
 }
 
 void TaskGroup::wait() {
-  std::exception_ptr first;
-  for (auto& f : futures_) {
-    try {
-      f.get();
-    } catch (...) {
-      if (!first) first = std::current_exception();
-    }
-  }
-  futures_.clear();
-  if (first) std::rethrow_exception(first);
+  if (std::exception_ptr err = join()) std::rethrow_exception(err);
 }
 
 namespace {

@@ -27,7 +27,7 @@
 ///     on scheduling): band loops write per-band or per-chunk partials into
 ///     disjoint buffers and reduce them in a fixed, thread-count-independent
 ///     order, keeping results bit-identical at any engine width.
-///   - run_async / TaskGroup submit tasks to an elastic helper lane that may
+///   - TaskGroup submits tasks to an elastic helper lane that may
 ///     block (collectives) without starving compute workers; used to overlap
 ///     communication (orbital broadcasts, wavefunction transposes) with the
 ///     Fock band loop (paper §3.2 step 5). A parallel_for issued from an
@@ -43,11 +43,10 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <exception>
 #include <functional>
-#include <future>
 #include <mutex>
+#include <new>
 #include <span>
 #include <thread>
 #include <type_traits>
@@ -90,13 +89,27 @@ class ThreadPool {
         const_cast<void*>(static_cast<const void*>(&f)), grain);
   }
 
-  /// Enqueues a task on the pool's async lane. Used for communication
-  /// prefetch: tasks may block (e.g. on a collective) without starving the
-  /// compute workers. The lane grows one persistent helper thread per
-  /// concurrently pending task (several ThreadComm ranks may each park a
-  /// blocking broadcast here at once), and helpers are cached for reuse, so
-  /// the steady state spawns no threads.
-  std::future<void> run_async(std::function<void()> task);
+  /// One unit of work for the async lane: an intrusive queue node owned by
+  /// the submitter (exec::TaskGroup keeps a fixed array of them), so a
+  /// submission allocates nothing.
+  struct AsyncTask {
+    void (*run)(AsyncTask&) = nullptr;  ///< the work; must not throw
+    AsyncTask* next = nullptr;          ///< queue link (lane mutex)
+    bool done = true;                   ///< lane mutex
+  };
+
+  /// Enqueues `task` on the pool's async lane; it must stay alive until
+  /// wait_async(task) returns. Used for communication prefetch: tasks may
+  /// block (e.g. on a collective) without starving the compute workers. The
+  /// lane spawns a persistent helper thread whenever pending tasks outnumber
+  /// parked helpers (several ThreadComm ranks may each park a blocking
+  /// broadcast here at once), and helpers are cached for reuse, so the
+  /// steady state spawns no threads and allocates nothing.
+  void submit_async(AsyncTask& task);
+
+  /// Blocks until `task` has run. By then the helper that ran it is parked
+  /// again, so a submission right after this returns finds it idle.
+  void wait_async(AsyncTask& task);
 
   /// Executes a sealed TaskGraph: one wake of the pool, workers claim ready
   /// nodes until the graph drains. Falls back to a serial in-order run in
@@ -148,8 +161,11 @@ class ThreadPool {
 
   std::vector<std::thread> async_threads_;
   std::mutex async_mutex_;
-  std::condition_variable async_cv_;
-  std::deque<std::packaged_task<void()>> async_queue_;
+  std::condition_variable async_cv_;       ///< wakes helpers
+  std::condition_variable async_done_cv_;  ///< wakes wait_async callers
+  AsyncTask* async_head_ = nullptr;        ///< FIFO of pending tasks
+  AsyncTask* async_tail_ = nullptr;
+  std::size_t async_pending_ = 0;
   std::size_t async_idle_ = 0;  ///< helpers parked in wait
   bool async_stop_ = false;
 };
@@ -293,8 +309,18 @@ class TaskGraph {
 /// submitted task and rethrows the first stored exception; the destructor
 /// joins too (discarding errors), so a TaskGroup can never leak a running
 /// task past its scope. Not thread-safe: one owner thread submits and waits.
+///
+/// Allocation-free: each task's closure is copied into one of kMaxTasks
+/// inline completion slots, which the lane queues intrusively. A closure
+/// must therefore be trivially copyable (capture references, pointers and
+/// scalars) and fit kTaskBytes — both checked at compile time.
 class TaskGroup {
  public:
+  /// Tasks one group may have in flight between two wait()s.
+  static constexpr std::size_t kMaxTasks = 8;
+  /// Inline closure storage per task.
+  static constexpr std::size_t kTaskBytes = 96;
+
   TaskGroup() = default;
   TaskGroup(const TaskGroup&) = delete;
   TaskGroup& operator=(const TaskGroup&) = delete;
@@ -303,17 +329,46 @@ class TaskGroup {
   ~TaskGroup();
 
   /// Submits `task` to the pool's async lane.
-  void run(std::function<void()> task);
+  template <class F>
+  void run(F&& task) {
+    using Fn = std::decay_t<F>;
+    static_assert(std::is_trivially_copyable_v<Fn> && sizeof(Fn) <= kTaskBytes &&
+                      alignof(Fn) <= alignof(std::max_align_t),
+                  "TaskGroup::run: the closure must be trivially copyable and fit kTaskBytes");
+    Slot& s = next_slot();
+    ::new (static_cast<void*>(s.closure)) Fn(std::forward<F>(task));
+    s.run = [](ThreadPool::AsyncTask& t) {
+      Slot& slot = static_cast<Slot&>(t);
+      try {
+        (*std::launder(reinterpret_cast<Fn*>(slot.closure)))();
+      } catch (...) {
+        slot.error = std::current_exception();
+      }
+    };
+    submit(s);
+  }
 
   /// Joins all submitted tasks, then rethrows the first exception any of
   /// them stored. Afterwards the group is empty and reusable.
   void wait();
 
   /// True when no submitted task is outstanding.
-  bool empty() const { return futures_.empty(); }
+  bool empty() const { return count_ == 0; }
 
  private:
-  std::vector<std::future<void>> futures_;
+  struct Slot : ThreadPool::AsyncTask {
+    alignas(std::max_align_t) unsigned char closure[kTaskBytes];
+    std::exception_ptr error;  ///< what the closure threw, read at join
+  };
+  /// The free slot run() fills; throws when kMaxTasks are in flight.
+  Slot& next_slot();
+  void submit(Slot& s);
+  /// Joins every submitted task; returns the first stored error.
+  std::exception_ptr join();
+
+  Slot slots_[kMaxTasks];
+  std::size_t count_ = 0;
+  ThreadPool* pool_ = nullptr;  ///< the lane the in-flight tasks were queued on
 };
 
 /// The process-wide engine. Created on first use with num_threads() threads.

@@ -26,11 +26,11 @@
 /// move bytes, they never reassociate arithmetic.
 ///
 /// Wire buffers and the Alltoallv plan are owned by the instance
-/// (monotonically grown and reused, so the instance allocates nothing in
-/// steady state; the async lane's task future still does) rather than
-/// taken from the workspace arena: a synchronous transpose — or a second
-/// TransposeOverlap — issued while an exchange is in flight can therefore
-/// never alias the in-flight wires or plan.
+/// (monotonically grown and reused, and the parked exchange sits in an
+/// inline exec::TaskGroup slot, so the instance allocates nothing in steady
+/// state) rather than taken from the workspace arena: a synchronous
+/// transpose — or a second TransposeOverlap — issued while an exchange is
+/// in flight can therefore never alias the in-flight wires or plan.
 ///
 /// Scheduling contract: start_*() and the first-use dup() are collective on
 /// the parent; every rank must start/wait the same transposes in the same

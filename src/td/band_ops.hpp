@@ -6,6 +6,7 @@
 /// bit-identical at any engine width (docs/threading.md).
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/exec.hpp"
@@ -37,6 +38,18 @@ inline void assign_sum_scaled(const CMatrix& a, double w, const CMatrix& b, CMat
         for (std::size_t i = b0; i < e; ++i) d[i] = pa[i] + w * pb[i];
       },
       4096);
+}
+
+/// r(g, j) /= 1 + i c k[g] for every G row g, element-parallel: the
+/// kinetic preconditioner of the PT-CN fixed point (td/ptcn.hpp).
+inline void divide_kinetic_rows(double c, std::span<const double> k, CMatrix& r) {
+  Complex* rp = r.data();
+  const double* kp = k.data();
+  const std::size_t ng = r.rows();
+  exec::parallel_for_cols(r.cols(), ng, [=](std::size_t col, std::size_t r0, std::size_t len) {
+    Complex* rc = rp + col * ng;
+    for (std::size_t g = r0; g < r0 + len; ++g) rc[g] /= Complex{1.0, c * kp[g]};
+  });
 }
 
 /// Per-band Anderson fixed-point update x_j <- mix_j(x_j, -r_j): the mixers

@@ -10,6 +10,17 @@
 /// fixed-point iteration stalls or diverges, which is precisely why the PT
 /// gauge is needed to reach 50 as steps (paper §2; An & Lin). See
 /// bench/ablation_gauge for the head-to-head comparison.
+///
+/// This loop stays the paper's plain one: it mixes the raw residual, while
+/// PT-CN divides its residual by the kinetic operator first (td/ptcn.hpp).
+/// The gauge comparison therefore sets the engine's preconditioned PT-CN
+/// against the unpreconditioned Schrodinger-gauge loop. Preconditioning
+/// both was measured on CnGauge.PtNeedsFewerScfIterationsAtLargeStep (two
+/// 50 as steps, LDA Si8 at Ecut 3): PT 18 vs CN 25 iterations, 1.39x,
+/// against 28 vs 54 with neither preconditioned. The preconditioner removes
+/// the high-G kinetic stiffness both loops share, and with it most of CN's
+/// extra iterations, so a preconditioned CN would no longer show the
+/// paper's §2 claim at the test's 1.5x bar.
 
 #include <memory>
 #include <span>

@@ -8,6 +8,13 @@
 /// by a self-consistent field iteration with per-band Anderson mixing
 /// (history 20), monitored by the electron density change (tol 1e-6), and
 /// re-orthonormalizes via Cholesky at the end of the step (paper §3.3/§3.4).
+/// Unlike the paper's loop, the mixers see the residual divided row by row
+/// by the kinetic operator 1 + i dt/2 |G + A(t+dt)|^2 / 2: the residual's
+/// Jacobian is about I + i dt/2 (H - eps), whose high-G kinetic part
+/// dominates at 50 as steps. The fixed point is the same; it is reached in
+/// about half the iterations, so every Fock apply, broadcast, Alltoallv and
+/// Allreduce of the loop halves with them (tests/test_td_oracle.cpp bounds
+/// where the loop stops).
 /// Residuals are evaluated in the G-space layout (Alg. 3): Alltoallv
 /// transposes (optionally single precision), a local GEMM for the overlap
 /// matrix, an Allreduce, and a rotation GEMM.

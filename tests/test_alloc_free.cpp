@@ -1,6 +1,7 @@
 // Verifies the workspace-arena contract: after a warm-up call, the hot paths
-// (FockOperator::apply_add band loop, AceOperator::apply_add with its two
-// transposes and GEMMs, compute_density,
+// (FockOperator::apply_add band loop and its window prefetch,
+// AceOperator::apply_add with its two transposes and GEMMs, the overlapped
+// TransposeOverlap start/wait, compute_density,
 // hartree_potential, Hamiltonian::apply, AndersonMixer::mix and the per-band
 // PT-CN mixing loop) perform no per-call heap allocations beyond their
 // documented return values. Allocation counting works by overriding the global operator new
@@ -23,6 +24,7 @@
 #include "linalg/blas.hpp"
 #include "linalg/cholesky.hpp"
 #include "parallel/comm.hpp"
+#include "parallel/overlap.hpp"
 #include "scf/anderson.hpp"
 #include "td/band_ops.hpp"
 
@@ -88,6 +90,50 @@ TEST_F(AllocFreeHotPaths, FockApplyAddAllocatesNothingAfterWarmup) {
   const std::size_t n_alloc = allocations([&] { fock.apply_add(phi, y, comm); });
   EXPECT_EQ(n_alloc, 0u) << "FockOperator::apply_add must draw all band-loop "
                             "buffers from the workspace arena";
+}
+
+TEST_F(AllocFreeHotPaths, FockWindowPrefetchAllocatesNothingAfterWarmup) {
+  // Windows of 2 of 8 bands: three next-window broadcasts per apply run on
+  // the async lane, each queued in an inline TaskGroup slot.
+  const std::size_t nb = 8;
+  par::SerialComm comm;
+  ham::FockOptions fopt;
+  fopt.band_window = 2;
+  ham::FockOperator fock(setup_, xc::HybridParams{true, 0.25, 0.11}, fopt);
+  CMatrix phi = orthonormal_block(nb, 41);
+  std::vector<double> occ(nb, 2.0);
+  fock.set_orbitals(phi, occ, par::BlockPartition(nb, 1), comm);
+  CMatrix y(setup_.n_g(), nb, Complex{0.0, 0.0});
+
+  fock.apply_add(phi, y, comm);  // warm up the arena slots and the lane
+  fock.apply_add(phi, y, comm);
+  const std::size_t n_alloc = allocations([&] { fock.apply_add(phi, y, comm); });
+  EXPECT_EQ(n_alloc, 0u);
+}
+
+TEST_F(AllocFreeHotPaths, TransposeOverlapRoundTripAllocatesNothingAfterWarmup) {
+  // One band->G and one G->band start/wait: the plan, the wires and the
+  // pending record belong to the instance, and the parked exchange sits in
+  // an inline TaskGroup slot. The PT-CN loop makes two of these starts per
+  // SCF iteration.
+  const std::size_t nb = 4;
+  par::SerialComm comm;
+  par::WavefunctionTranspose t(par::BlockPartition(setup_.n_g(), 1),
+                               par::BlockPartition(nb, 1));
+  CMatrix psi = orthonormal_block(nb, 43);
+  CMatrix psi_g, back;
+  par::TransposeOverlap ovl;
+  auto round_trip = [&] {
+    ovl.start_band_to_g(t, comm, psi, psi_g, true);
+    ovl.wait();
+    ovl.start_g_to_band(t, comm, psi_g, back, true);
+    ovl.wait();
+  };
+  round_trip();  // warm up: dup()'ed comm, plan, wires, outputs, lane helper
+  round_trip();
+  const std::size_t n_alloc = allocations(round_trip);
+  EXPECT_EQ(n_alloc, 0u) << "TransposeOverlap start/wait must reuse its own "
+                            "storage and the TaskGroup's inline slot";
 }
 
 TEST_F(AllocFreeHotPaths, AceApplyAddAllocatesNothingAfterWarmup) {
@@ -158,6 +204,7 @@ TEST_F(AllocFreeHotPaths, AndersonMixAllocatesNothingAfterWarmup) {
 }
 
 TEST_F(AllocFreeHotPaths, PerBandAndersonMixingLoopIsAllocationFree) {
+  // The PT-CN mixing step: kinetic preconditioner, then the per-band mix.
   const std::size_t ng = setup_.n_g(), nb = 4;
   std::vector<std::unique_ptr<scf::AndersonMixer>> mixers;
   for (std::size_t j = 0; j < nb; ++j)
@@ -166,12 +213,17 @@ TEST_F(AllocFreeHotPaths, PerBandAndersonMixingLoopIsAllocationFree) {
   CMatrix r(ng, nb), x(ng, nb);
   for (std::size_t i = 0; i < r.size(); ++i) r.data()[i] = rng.complex_normal();
   for (std::size_t i = 0; i < x.size(); ++i) x.data()[i] = rng.complex_normal();
-  for (int it = 0; it < 10; ++it) {
+  const auto& g2 = setup_.sphere.g2();
+  std::vector<double> kin(g2.begin(), g2.end());
+  auto mix_step = [&] {
+    td::detail::divide_kinetic_rows(0.1, kin, r);
     td::detail::anderson_mix_bands(mixers, r, x);
+  };
+  for (int it = 0; it < 10; ++it) {
+    mix_step();
     for (std::size_t i = 0; i < r.size(); ++i) r.data()[i] *= 0.9;
   }
-  const std::size_t n_alloc =
-      allocations([&] { td::detail::anderson_mix_bands(mixers, r, x); });
+  const std::size_t n_alloc = allocations(mix_step);
   EXPECT_EQ(n_alloc, 0u);
 }
 

@@ -110,7 +110,7 @@ TEST(ThreadPool, ConcurrentCallersBothComplete) {
   }
 }
 
-TEST(ThreadPool, RunAsyncExecutesAndBlockingTasksDoNotStarveEachOther) {
+TEST(TaskGroup, BlockingTasksDoNotStarveEachOther) {
   // Two tasks that can only finish together (a rendezvous) must run
   // concurrently — this is the prefetch-broadcast pattern of the Fock
   // operator across ThreadComm ranks.
@@ -119,10 +119,10 @@ TEST(ThreadPool, RunAsyncExecutesAndBlockingTasksDoNotStarveEachOther) {
     arrived.fetch_add(1);
     while (arrived.load() < 2) std::this_thread::yield();
   };
-  auto f1 = exec::pool().run_async(rendezvous);
-  auto f2 = exec::pool().run_async(rendezvous);
-  f1.wait();
-  f2.wait();
+  exec::TaskGroup tg;
+  tg.run(rendezvous);
+  tg.run(rendezvous);
+  tg.wait();
   EXPECT_EQ(arrived.load(), 2);
 }
 
@@ -161,6 +161,26 @@ TEST(TaskGroup, DestructorJoinsAndSwallowsErrors) {
     });
   }  // must not terminate
   EXPECT_TRUE(ran.load());
+}
+
+TEST(TaskGroup, RunBeyondCapacityThrowsAndKeepsTheGroupUsable) {
+  // Completion slots are inline and fixed in number: the task past
+  // kMaxTasks is refused up front instead of allocating a new slot.
+  std::atomic<bool> release{false};
+  std::atomic<int> done{0};
+  exec::TaskGroup tg;
+  for (std::size_t i = 0; i < exec::TaskGroup::kMaxTasks; ++i)
+    tg.run([&] {
+      while (!release.load()) std::this_thread::yield();
+      done.fetch_add(1);
+    });
+  EXPECT_THROW(tg.run([&] { done.fetch_add(100); }), Error);
+  release.store(true);
+  tg.wait();
+  EXPECT_EQ(done.load(), static_cast<int>(exec::TaskGroup::kMaxTasks));
+  tg.run([&] { done.fetch_add(1); });
+  tg.wait();
+  EXPECT_EQ(done.load(), static_cast<int>(exec::TaskGroup::kMaxTasks) + 1);
 }
 
 TEST(TaskGroup, OverlapsWithParallelForOnTheCaller) {
