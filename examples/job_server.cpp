@@ -1,10 +1,11 @@
 // Multi-tenant job server demo: a serve::JobEngine runs a mixed batch of
 // simulation jobs — a ground-state SCF probe, a delta-kick absorption run,
-// and two laser excitations — concurrently on the shared thread pool, with
-// admission control from the calibrated performance model. One laser job is
-// killed mid-propagation (crash semantics: only its periodic checkpoint
-// survives) and resumed; its stitched trajectory is compared bit-for-bit
-// against an uninterrupted solo run.
+// and two laser excitations — concurrently on the shared thread pool, each
+// priced by the calibrated performance model (the price is reported in the
+// job's status and picks eviction victims; it admits nothing). One laser
+// job is killed mid-propagation (crash semantics: only its periodic
+// checkpoint survives) and resumed; its stitched trajectory is compared
+// bit-for-bit against an uninterrupted solo run.
 //
 // Tenants with the same cell/cutoff share one PlanewaveSetup and (through
 // fft::shared_engine) the same warmed FFT graph caches. Checkpoints are the
@@ -74,7 +75,7 @@ int main() {
 
   std::printf("job server: submitting 4 mixed tenants (engine slots: %zu)\n",
               eopt.max_running);
-  std::printf("  admission prices (perf::job_cost): scf %.1f, absorption %.1f, laser %.1f\n",
+  std::printf("  model prices (perf::job_cost): scf %.1f, absorption %.1f, laser %.1f\n",
               serve::JobEngine::cost_estimate(scf), serve::JobEngine::cost_estimate(absorb),
               serve::JobEngine::cost_estimate(laser_a));
 

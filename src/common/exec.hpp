@@ -473,7 +473,8 @@ enum class Slot : std::size_t {
   fock_coeffs,
   fock_psi_real,
   fock_acc,
-  fock_win,  ///< per-band window contributions before the ordered reduction
+  fock_win,     ///< per-band window contributions before the ordered reduction
+  fock_mirror,  ///< self-apply: per-task mirrored-term slices of a window
   // Wavefunction transpose pack/unpack wire buffers and the byte
   // counts/displacements of the Alltoallv (ibuf).
   trans_send,

@@ -12,8 +12,10 @@ void AceOperator::build(FockOperator& fock, const CMatrix& phi_local, par::Comm&
   const std::size_t ng = setup_.n_g();
   const std::size_t nb_loc = phi_local.cols();
 
+  // W = VX[Phi] Phi: the registered orbitals themselves, so the Fock
+  // operator solves its diagonal block as the upper triangle.
   CMatrix w_local(ng, nb_loc, Complex{0.0, 0.0});
-  fock.apply_add(phi_local, w_local, comm);
+  fock.apply_self_add(w_local, comm);
 
   psi_bands_ = par::BlockPartition(0, comm.size());  // reset below
   // Recover the global band partition from the local counts: the Fock

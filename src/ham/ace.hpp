@@ -27,9 +27,10 @@ class AceOperator {
  public:
   explicit AceOperator(const PlanewaveSetup& setup) : setup_(setup) {}
 
-  /// Builds the compressed operator from `fock`'s current orbitals; one
-  /// exact Fock apply on Phi plus dense linear algebra in the G-space
-  /// layout. Collective. Deterministic: serial dense algebra on G-layout
+  /// Builds the compressed operator from `fock`'s current orbitals, which
+  /// must be phi_local: one exact Fock self-apply (FockOperator::
+  /// apply_self_add) plus dense linear algebra in the G-space layout.
+  /// Collective. Deterministic: serial dense algebra on G-layout
   /// blocks produced by the (bit-identical) transpose, so the result is
   /// identical across thread width, pipeline mode, and Comm backend
   /// whenever the Fock apply is (docs/threading.md).

@@ -57,7 +57,7 @@ EnergyBreakdown compute_energy(Hamiltonian& hamiltonian, const CMatrix& psi_loca
   e.hartree = 0.5 * e_h * w;
 
   if (hamiltonian.hybrid_enabled()) {
-    e.fock = hamiltonian.fock().exchange_energy(psi_local, occ_local, comm);
+    e.fock = hamiltonian.fock().exchange_energy(comm);
   }
   e.ewald = hamiltonian.ewald_energy();
   return e;

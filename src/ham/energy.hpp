@@ -27,8 +27,10 @@ struct EnergyBreakdown {
 
 /// Evaluates the breakdown for band-distributed orbitals with a consistent
 /// (psi, rho) pair. When the hybrid term is enabled the Fock orbitals must
-/// already be set to psi (this costs the paper's "+1 Fock apply for total
-/// energy evaluation" per step). Collective.
+/// already be set to psi: the exchange energy is read from them by
+/// FockOperator::exchange_energy, one forward FFT per unordered orbital
+/// pair, where the paper budgets "+1 Fock apply for total energy
+/// evaluation" per step. Collective.
 EnergyBreakdown compute_energy(Hamiltonian& hamiltonian, const CMatrix& psi_local,
                                std::span<const double> occ_local, std::span<const double> rho,
                                par::Comm& comm);

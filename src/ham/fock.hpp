@@ -17,6 +17,25 @@
 /// while the current window computes (step 5).
 /// All options are numerically equivalent except single_precision_comm,
 /// whose rounding is bounded by tests (paper: "negligible changes").
+///
+/// Pair symmetry. The kernel K(G) is real and even on the grid (the
+/// constructor makes it so), so the pair potential v_ji = K * (phi_j^* phi_i)
+/// is conj(v_ij). Every apply the engine makes to the registered orbitals
+/// themselves (PT-CN without MTS, CN, RK4, every ACE build) goes through
+/// apply_self_add, which solves the rank's own diagonal band block as its
+/// upper triangle: pair (i, j >= i) once, writing the direct term
+/// -(alpha/2) f_i phi_i v_ij into column j and the mirrored term
+/// -(alpha/2) f_j phi_j conj(v_ij) into column i. Pairs across ranks are
+/// solved as in Alg. 2, and the broadcasts are unchanged.
+///
+/// Exchange energy. exchange_energy() needs no apply: E_X is a sum over
+/// unordered pairs of f_i f_j sum_G K(G) |FFT(phi_i^* phi_j)(G)|^2, one
+/// forward FFT per pair, each pair computed on exactly one rank (weight 2
+/// off the diagonal), then one Allreduce.
+///
+/// pair_solves() counts Poisson solves (forward FFT, kernel, inverse FFT)
+/// only: n_e x n_local per apply_add, n_e x n_local - n_local (n_local - 1)/2
+/// per apply_self_add with every band occupied, none for the energy.
 
 #include <cstdint>
 #include <memory>
@@ -80,9 +99,18 @@ class FockOperator {
   /// Collective over comm: Alg. 2's broadcast loop over all global bands.
   void apply_add(const CMatrix& psi_local, CMatrix& y_local, par::Comm& comm);
 
-  /// E_X = (1/2) sum_j f_j <psi_j | VX psi_j> over all ranks' bands.
-  double exchange_energy(const CMatrix& psi_local, std::span<const double> occ_local,
-                         par::Comm& comm);
+  /// y_local += VX * Phi for the registered orbitals themselves (local
+  /// band columns): apply_add(Phi) to rounding, with the rank's diagonal
+  /// block solved as its upper triangle and Phi read from the real-space
+  /// grid set_orbitals() already holds. A pair is skipped only when both of
+  /// its occupations vanish. Same broadcasts as apply_add; collective.
+  void apply_self_add(CMatrix& y_local, par::Comm& comm);
+
+  /// E_X = (1/2) sum_j f_j <phi_j | VX phi_j> of the registered orbitals:
+  /// -alpha/(4 N Omega) sum_ij f_i f_j sum_G (K(G)/N) |FFT(phi_i^* phi_j)(G)|^2,
+  /// one forward FFT per unordered pair (no Poisson solve, no apply), the
+  /// broadcasts of one apply, and one Allreduce. Collective.
+  double exchange_energy(par::Comm& comm);
 
   FockOptions& options() { return opt_; }
   const FockOptions& options() const { return opt_; }
@@ -100,6 +128,17 @@ class FockOperator {
   /// engine's async lane for prefetched windows; the wire buffer comes from
   /// the executing thread's workspace arena.
   void fetch_orbital(std::size_t band, par::Comm& comm, std::span<Complex> buf);
+
+  /// Alg. 2's broadcast loop: every band of the registered orbitals in band
+  /// order, band_window at a time, the next window prefetched on the async
+  /// lane while compute(w0, wn, orbitals) runs on window [w0, w0 + wn)
+  /// (orbitals: wn contiguous wfc grids).
+  template <class F>
+  void for_each_window(par::Comm& comm, F&& compute);
+
+  /// y_local += VX psi for psi on the wfc grid; `self` when psi_real is
+  /// the registered phi_real_ (the mirrored diagonal block).
+  void apply_grid_add(const CMatrix& psi_real, bool self, CMatrix& y_local, par::Comm& comm);
 
   const PlanewaveSetup& setup_;
   xc::HybridParams hybrid_;

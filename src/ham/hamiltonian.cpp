@@ -128,6 +128,36 @@ void Hamiltonian::set_exchange_orbitals(const CMatrix& phi_local,
 
 void Hamiltonian::apply(const CMatrix& psi_local, CMatrix& y_local, par::Comm& comm,
                         TimerRegistry* timers) {
+  apply_local(psi_local, y_local, timers);
+  if (options_.hybrid.enabled) {
+    WallTimer t;
+    PWDFT_CHECK(fock_.has_orbitals(), "Hamiltonian::apply: exchange orbitals not set");
+    if (options_.use_ace) {
+      ace_.apply_add(psi_local, y_local, comm);
+    } else {
+      fock_.apply_add(psi_local, y_local, comm);
+    }
+    if (timers) timers->add("hpsi_fock", t.seconds());
+  }
+}
+
+void Hamiltonian::register_and_apply(const CMatrix& psi_local, std::span<const double> occ_global,
+                                     const par::BlockPartition& bands, CMatrix& y_local,
+                                     par::Comm& comm, TimerRegistry* timers) {
+  set_exchange_orbitals(psi_local, occ_global, bands, comm);
+  apply_local(psi_local, y_local, timers);
+  if (options_.hybrid.enabled) {
+    WallTimer t;
+    if (options_.use_ace) {
+      ace_.apply_add(psi_local, y_local, comm);
+    } else {
+      fock_.apply_self_add(y_local, comm);
+    }
+    if (timers) timers->add("hpsi_fock", t.seconds());
+  }
+}
+
+void Hamiltonian::apply_local(const CMatrix& psi_local, CMatrix& y_local, TimerRegistry* timers) {
   const std::size_t ng = setup_.n_g();
   PWDFT_CHECK(psi_local.rows() == ng, "Hamiltonian::apply: row mismatch");
   y_local.resize(ng, psi_local.cols());
@@ -244,17 +274,6 @@ void Hamiltonian::apply(const CMatrix& psi_local, CMatrix& y_local, par::Comm& c
       });
     }
     if (timers) timers->add("hpsi_local", t.seconds());
-  }
-
-  if (options_.hybrid.enabled) {
-    WallTimer t;
-    PWDFT_CHECK(fock_.has_orbitals(), "Hamiltonian::apply: exchange orbitals not set");
-    if (options_.use_ace) {
-      ace_.apply_add(psi_local, y_local, comm);
-    } else {
-      fock_.apply_add(psi_local, y_local, comm);
-    }
-    if (timers) timers->add("hpsi_fock", t.seconds());
   }
 }
 

@@ -89,10 +89,21 @@ class Hamiltonian {
   /// made behind their back, e.g. by per-step energy evaluation.
   std::uint64_t exchange_serial() const { return exchange_serial_; }
 
-  /// y = H psi for a block of local bands (sphere coefficients).
-  /// Optional timers record "hpsi_local" and "hpsi_fock" phases.
+  /// y = H psi for a block of local bands (sphere coefficients), with the
+  /// exchange orbitals registered earlier (LOBPCG blocks, MTS-frozen
+  /// exchange, tests). Optional timers record "hpsi_local" and "hpsi_fock".
   void apply(const CMatrix& psi_local, CMatrix& y_local, par::Comm& comm,
              TimerRegistry* timers = nullptr);
+
+  /// Registers psi as the exchange orbitals (set_exchange_orbitals) and
+  /// sets y = H psi for that same block: direct exchange then runs as
+  /// FockOperator::apply_self_add, which solves the rank's diagonal band
+  /// block as its upper triangle. The propagators' applies with exchange
+  /// from the current orbitals (PT-CN without MTS, CN, RK4) use this.
+  /// Collective.
+  void register_and_apply(const CMatrix& psi_local, std::span<const double> occ_global,
+                          const par::BlockPartition& bands, CMatrix& y_local, par::Comm& comm,
+                          TimerRegistry* timers = nullptr);
 
   bool hybrid_enabled() const { return options_.hybrid.enabled; }
   /// Toggles the exact-exchange term at runtime (the ground-state solver
@@ -113,6 +124,9 @@ class Hamiltonian {
   fft::Fft3D& fft_dense() { return *fft_dense_; }
 
  private:
+  /// y = (T + V_loc + V_H + V_xc + V_nl) psi: every term but exchange.
+  void apply_local(const CMatrix& psi_local, CMatrix& y_local, TimerRegistry* timers);
+
   const PlanewaveSetup& setup_;
   HamiltonianOptions options_;
   /// Shared process-wide per grid shape via fft::shared_engine:

@@ -107,15 +107,17 @@ ScfResult GroundStateSolver::solve(CMatrix& psi, std::span<const double> occ,
   // Phase 2: hybrid outer loop; each outer iteration freezes VX[Phi] and
   // re-solves the inner SCF.
   ham_.set_hybrid_enabled(true);
+  // ACE refresh schedule for the ground state: one projector build from the
+  // semi-local orbitals here, then one at the end of every outer iteration
+  // from its final orbitals, which serves that iteration's energy and the
+  // next iteration's inner phase (LOBPCG then amortizes one exact Fock
+  // apply over all of its H applications), independent of where the
+  // ace_refresh registration cadence happens to stand.
+  ham_.request_ace_refresh();
+  ham_.set_exchange_orbitals(psi, occ, bands, comm);
   double e_prev = 0.0;
   bool have_prev = false;
   for (int outer = 0; outer < opt.hybrid_outer_max; ++outer) {
-    // ACE refresh schedule for the ground state: rebuild the projectors at
-    // every outer step (the inner LOBPCG phase then amortizes one exact
-    // Fock apply over all of its H applications), independent of where the
-    // ace_refresh registration cadence happens to stand.
-    ham_.request_ace_refresh();
-    ham_.set_exchange_orbitals(psi, occ, bands, comm);
     ScfResult inner = scf_phase(psi, occ, opt, std::max(4, opt.max_iter / 4));
     res.scf_iterations += inner.scf_iterations;
     res.eigenvalues = inner.eigenvalues;
@@ -125,6 +127,7 @@ ScfResult GroundStateSolver::solve(CMatrix& psi, std::span<const double> occ,
     std::vector<double> rho = ham::compute_density(setup_, ham_.fft_dense(), psi, occ, comm, true,
                            ham_.options().op_pipeline);
     ham_.update_density(rho);
+    ham_.request_ace_refresh();
     ham_.set_exchange_orbitals(psi, occ, bands, comm);
     res.energy = ham::compute_energy(ham_, psi, occ, rho, comm);
     if (opt.verbose) {

@@ -44,9 +44,8 @@ CnStepReport CnPropagator::step(CMatrix& psi_local, std::span<const double> occ_
   auto rho = ham::compute_density(ham_.setup(), ham_.fft_dense(), psi_local, occ_local, comm,
                                   true, ham_.options().op_pipeline);
   ham_.update_density(rho);
-  if (ham_.hybrid_enabled()) ham_.set_exchange_orbitals(psi_local, occ_global, bands_, comm);
   CMatrix hpsi;
-  ham_.apply(psi_local, hpsi, comm, timers);
+  ham_.register_and_apply(psi_local, occ_global, bands_, hpsi, comm, timers);
 
   CMatrix psi_half = psi_local;
   detail::add_scaled(-i_half_dt, hpsi, psi_half);
@@ -58,8 +57,7 @@ CnStepReport CnPropagator::step(CMatrix& psi_local, std::span<const double> occ_
 
   for (int it = 0; it < opt_.max_scf; ++it) {
     ham_.update_density(rho_f);
-    if (ham_.hybrid_enabled()) ham_.set_exchange_orbitals(psi_f, occ_global, bands_, comm);
-    ham_.apply(psi_f, hpsi, comm, timers);
+    ham_.register_and_apply(psi_f, occ_global, bands_, hpsi, comm, timers);
 
     // R = Psi_f + i dt/2 H Psi_f - Psi_half — entirely band-local: the plain
     // CN residual needs no overlap matrix and hence no transpose/Allreduce.

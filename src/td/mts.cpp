@@ -25,13 +25,9 @@ MtsStepDecision MtsScheduler::begin_step(ham::Hamiltonian& ham, const CMatrix& p
                                          const par::BlockPartition& bands, par::Comm& comm,
                                          int interval, double drift_tol) {
   MtsStepDecision d;
-  if (!ham.hybrid_enabled()) return d;
-  if (interval <= 0) {
-    // Legacy cadence: register the step-start orbitals; the caller keeps
-    // re-registering Psi_f inside its inner SCF loop.
-    ham.set_exchange_orbitals(psi_local, occ_global, bands, comm);
-    return d;
-  }
+  // Without MTS the caller registers each block it applies H to
+  // (Hamiltonian::register_and_apply).
+  if (!ham.hybrid_enabled() || interval <= 0) return d;
 
   d.active = true;
   bool refresh = !have_frozen_ || steps_since_refresh_ >= interval;

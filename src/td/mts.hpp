@@ -39,16 +39,16 @@ struct MtsStepDecision {
 class MtsScheduler {
  public:
   /// Step-start hook; collective over comm. With `interval` <= 0 (or
-  /// exchange disabled) this performs the legacy step-start registration
-  /// and reports MTS inactive — the caller then also re-registers inside
-  /// its inner SCF loop. With MTS active it either rebuilds the exchange
-  /// operator from psi_local (cadence due, or drift > drift_tol) or keeps
-  /// the frozen operator; in the latter case, if anything registered
-  /// exchange orbitals since the last refresh (e.g. per-step energy
-  /// evaluation), the frozen snapshot is re-registered — with ACE the
-  /// forced rebuild from identical inputs reproduces the previous
-  /// projectors bit-for-bit, so the trajectory is independent of such
-  /// interleaved registrations.
+  /// exchange disabled) this registers nothing and reports MTS inactive —
+  /// the caller then registers every block it applies H to through
+  /// Hamiltonian::register_and_apply. With MTS active it either rebuilds
+  /// the exchange operator from psi_local (cadence due, or drift >
+  /// drift_tol) or keeps the frozen operator; in the latter case, if
+  /// anything registered exchange orbitals since the last refresh (e.g.
+  /// per-step energy evaluation), the frozen snapshot is re-registered —
+  /// with ACE the forced rebuild from identical inputs reproduces the
+  /// previous projectors bit-for-bit, so the trajectory is independent of
+  /// such interleaved registrations.
   MtsStepDecision begin_step(ham::Hamiltonian& ham, const CMatrix& psi_local,
                              std::span<const double> occ_global,
                              const par::BlockPartition& bands, par::Comm& comm, int interval,

@@ -120,21 +120,29 @@ PtCnStepReport PtCnPropagator::step(CMatrix& psi_local, std::span<const double> 
     ScopedTimer st(*timers, "others");
     ham_.update_density(rho);
   }
-  // Exchange cadence: with MTS off this registers Psi_n (and the loop
-  // below re-registers Psi_f each iteration); with MTS on the scheduler
-  // decides — deterministically — between rebuilding from Psi_n and
-  // keeping the frozen operator, and the loop below leaves it frozen.
+  // Exchange cadence: with MTS off every H apply below registers the block
+  // it applies to (Psi_n here, Psi_f in each SCF iteration), so exchange
+  // runs as the Fock self-apply; with MTS on the scheduler decides —
+  // deterministically — between rebuilding from Psi_n and keeping the
+  // frozen operator, and every apply of the step uses it.
   const MtsStepDecision mts = mts_.begin_step(ham_, psi_local, occ_global, bands_, comm,
                                               opt_.mts_interval, opt_.mts_drift_tol);
   report.exchange_refreshed = ham_.hybrid_enabled() && (!mts.active || mts.refreshed);
   report.mts_drift = mts.drift;
+  CMatrix hpsi;
+  auto apply_h = [&](const CMatrix& psi) {
+    if (mts.active) {
+      ham_.apply(psi, hpsi, comm, timers);
+    } else {
+      ham_.register_and_apply(psi, occ_global, bands_, hpsi, comm, timers);
+    }
+    ++report.fock_applies;
+  };
   // The Psi -> G transpose rides behind H Psi: packed here, its exchange
   // parked on the async lane against the stream's dup()'ed communicator
   // while the Fock band loop broadcasts on `comm` (overlap.hpp).
   psi_ovl_.start_band_to_g(transpose_, comm, psi_local, psi_g_, opt_.sp_comm);
-  CMatrix hpsi;
-  ham_.apply(psi_local, hpsi, comm, timers);
-  ++report.fock_applies;
+  apply_h(psi_local);
 
   CMatrix rn;
   {
@@ -175,11 +183,8 @@ PtCnStepReport PtCnPropagator::step(CMatrix& psi_local, std::span<const double> 
       ScopedTimer st(*timers, "others");
       ham_.update_density(rho_f);
     }
-    if (ham_.hybrid_enabled() && !mts.active)
-      ham_.set_exchange_orbitals(psi_f, occ_global, bands_, comm);
     psi_ovl_.start_band_to_g(transpose_, comm, psi_f, psi_g_, opt_.sp_comm);
-    ham_.apply(psi_f, hpsi, comm, timers);
-    ++report.fock_applies;
+    apply_h(psi_f);
 
     CMatrix rf;
     {

@@ -59,8 +59,10 @@ struct PtCnStepReport {
   int scf_iterations = 0;
   double rho_error = 0.0;
   bool converged = false;
-  /// Fock operator applications in this step (scf + initial residual);
-  /// the paper counts 24 per step including the energy evaluation.
+  /// H applications in this step (the initial residual plus one per SCF
+  /// iteration), each with a Fock apply when exchange is on. The paper
+  /// counts 24 per step including one for the energy evaluation; here the
+  /// energy needs none (FockOperator::exchange_energy).
   int fock_applies = 0;
   /// MTS: whether the exchange operator was rebuilt at this step's start
   /// (always true when MTS is off and hybrid is on), and the monitored

@@ -24,10 +24,7 @@ void Rk4Propagator::derivative(const CMatrix& psi, std::span<const double> occ_l
                                     ham_.options().op_pipeline);
     ham_.update_density(rho);
   }
-  if (ham_.hybrid_enabled()) {
-    ham_.set_exchange_orbitals(psi, occ_global, bands_, comm);
-  }
-  ham_.apply(psi, k, comm, timers);
+  ham_.register_and_apply(psi, occ_global, bands_, k, comm, timers);
   // k = -i H psi.
   const std::size_t n = k.size();
   Complex* d = k.data();

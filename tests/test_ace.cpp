@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "common/exec.hpp"
+#include "core/simulation.hpp"
 #include "ham/ace.hpp"
 #include "ham/density.hpp"
 #include "linalg/blas.hpp"
@@ -290,6 +291,26 @@ TEST(Mts, TrajectoryIndependentOfInterleavedRegistrations) {
   }
   ASSERT_EQ(clean.psi.size(), dirty.psi.size());
   EXPECT_EQ(test::max_abs_diff(clean.psi, dirty.psi), 0.0);
+}
+
+TEST(Ace, GroundStateBuildsOncePerOuterIterationPlusOne) {
+  // The hybrid ground state builds the projectors once from the semi-local
+  // orbitals and once at the end of each outer iteration — never twice from
+  // one set of orbitals at an iteration boundary.
+  core::SimulationOptions opt;
+  opt.cells[0] = opt.cells[1] = opt.cells[2] = 1;  // Si8
+  opt.ecut = 3.0;
+  opt.dense_factor = 1;
+  opt.use_ace = true;
+  opt.scf.tol_rho = 1e-7;
+  opt.scf.lobpcg.max_iter = 6;
+  opt.scf.hybrid_outer_max = 3;
+  core::Simulation sim(opt);
+  const auto builds_before = sim.hamiltonian().ace().builds();
+  const scf::ScfResult res = sim.ground_state();
+  ASSERT_GE(res.outer_iterations, 2);
+  EXPECT_EQ(sim.hamiltonian().ace().builds() - builds_before,
+            static_cast<std::uint64_t>(res.outer_iterations) + 1);
 }
 
 TEST(Mts, AceRefreshCadenceFollowsRegistrationCounter) {

@@ -1,7 +1,8 @@
 // Verifies the workspace-arena contract: after a warm-up call, the hot paths
-// (FockOperator::apply_add band loop and its window prefetch,
-// AceOperator::apply_add with its two transposes and GEMMs, the overlapped
-// TransposeOverlap start/wait, compute_density,
+// (FockOperator::apply_add band loop and its window prefetch, the Fock
+// self-apply and the exchange energy, AceOperator::apply_add with its two
+// transposes and GEMMs, the overlapped TransposeOverlap start/wait,
+// compute_density,
 // hartree_potential, Hamiltonian::apply, AndersonMixer::mix and the per-band
 // PT-CN mixing loop) perform no per-call heap allocations beyond their
 // documented return values. Allocation counting works by overriding the global operator new
@@ -109,6 +110,45 @@ TEST_F(AllocFreeHotPaths, FockWindowPrefetchAllocatesNothingAfterWarmup) {
   fock.apply_add(phi, y, comm);
   const std::size_t n_alloc = allocations([&] { fock.apply_add(phi, y, comm); });
   EXPECT_EQ(n_alloc, 0u);
+}
+
+TEST_F(AllocFreeHotPaths, FockSelfApplyAllocatesNothingAfterWarmup) {
+  // Batches of 3 of 8 bands in windows of 2: mirrored slices of several
+  // column blocks, and prefetched windows.
+  const std::size_t nb = 8;
+  par::SerialComm comm;
+  ham::FockOptions fopt;
+  fopt.band_window = 2;
+  fopt.batch_size = 3;
+  ham::FockOperator fock(setup_, xc::HybridParams{true, 0.25, 0.11}, fopt);
+  CMatrix phi = orthonormal_block(nb, 45);
+  std::vector<double> occ(nb, 2.0);
+  fock.set_orbitals(phi, occ, par::BlockPartition(nb, 1), comm);
+  CMatrix y(setup_.n_g(), nb, Complex{0.0, 0.0});
+
+  fock.apply_self_add(y, comm);  // warm up the arena slots, graphs and lane
+  fock.apply_self_add(y, comm);
+  const std::size_t n_alloc = allocations([&] { fock.apply_self_add(y, comm); });
+  EXPECT_EQ(n_alloc, 0u);
+}
+
+TEST_F(AllocFreeHotPaths, ExchangeEnergyAllocatesNothingAfterWarmup) {
+  const std::size_t nb = 8;
+  par::SerialComm comm;
+  ham::FockOptions fopt;
+  fopt.band_window = 2;
+  fopt.batch_size = 3;
+  ham::FockOperator fock(setup_, xc::HybridParams{true, 0.25, 0.11}, fopt);
+  CMatrix phi = orthonormal_block(nb, 47);
+  std::vector<double> occ(nb, 2.0);
+  fock.set_orbitals(phi, occ, par::BlockPartition(nb, 1), comm);
+
+  fock.exchange_energy(comm);  // warm up the arena slots, graphs and lane
+  fock.exchange_energy(comm);
+  double e = 0.0;
+  const std::size_t n_alloc = allocations([&] { e = fock.exchange_energy(comm); });
+  EXPECT_EQ(n_alloc, 0u) << "the energy must need no per-call block";
+  EXPECT_LT(e, 0.0);
 }
 
 TEST_F(AllocFreeHotPaths, TransposeOverlapRoundTripAllocatesNothingAfterWarmup) {

@@ -8,6 +8,7 @@
 
 #include <cstring>
 #include <mutex>
+#include <string>
 #include <vector>
 
 #include "common/exec.hpp"
@@ -366,33 +367,46 @@ TEST(BandParallel, HamiltonianPipelineModesBitIdenticalAcrossWidth) {
 TEST(BandParallel, FockPipelineModesBitIdenticalAcrossWidth) {
   // The fused pair-solve pipeline (multiply/solve stages chained into the
   // same graph as the FFT passes) vs the staged loops, wide and narrow
-  // windows, at widths 1/2/4.
+  // windows, at widths 1/2/4 — for the general apply, the self-apply (its
+  // mirrored slices over two column blocks, a half-filled and an empty
+  // band) and the pair-density exchange energy.
   ThreadGuard guard;
   auto setup = test::make_si8_setup(3.0, 1);
   const std::size_t nb = 6;
   CMatrix phi = test::random_orthonormal(setup, nb, 79);
-  std::vector<double> occ(nb, 2.0);
+  std::vector<double> occ = {2.0, 2.0, 1.0, 2.0, 0.0, 2.0};
   par::SerialComm comm;
   par::BlockPartition bands(nb, 1);
 
-  CMatrix ref;
+  CMatrix ref, ref_self;
+  double ref_energy = 0.0;
   for (const auto mode : {fft::PipelineMode::kStaged, fft::PipelineMode::kFused}) {
     for (std::size_t window : {1u, 4u}) {
       for (std::size_t nt : kThreadCounts) {
         exec::set_num_threads(nt);
         ham::FockOptions fopt;
         fopt.band_window = window;
+        fopt.batch_size = 4;
         fopt.op_pipeline = mode;
         ham::FockOperator fock(setup, xc::HybridParams{true, 0.25, 0.11}, fopt);
         fock.set_orbitals(phi, occ, bands, comm);
         CMatrix y(setup.n_g(), nb, Complex{0.0, 0.0});
         fock.apply_add(phi, y, comm);
+        CMatrix y_self(setup.n_g(), nb, Complex{0.0, 0.0});
+        fock.apply_self_add(y_self, comm);
+        const double energy = fock.exchange_energy(comm);
         if (ref.empty()) {
           ref = y;
+          ref_self = y_self;
+          ref_energy = energy;
         } else {
-          EXPECT_EQ(test::max_abs_diff(y, ref), 0.0)
-              << "nt=" << nt << " window=" << window
-              << " fused=" << (mode == fft::PipelineMode::kFused);
+          const std::string where = "nt=" + std::to_string(nt) + " window=" +
+                                    std::to_string(window) +
+                                    " fused=" + std::to_string(mode == fft::PipelineMode::kFused);
+          EXPECT_EQ(std::memcmp(y.data(), ref.data(), y.size() * sizeof(Complex)), 0) << where;
+          EXPECT_EQ(std::memcmp(y_self.data(), ref_self.data(), y.size() * sizeof(Complex)), 0)
+              << where;
+          EXPECT_EQ(std::memcmp(&energy, &ref_energy, sizeof(double)), 0) << where;
         }
       }
     }

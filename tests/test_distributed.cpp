@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "comm_conformance.hpp"
 #include "ham/density.hpp"
 #include "ham/fock.hpp"
@@ -293,7 +295,8 @@ INSTANTIATE_TEST_SUITE_P(Np, DistributedRanks, ::testing::Values(1, 2, 3, 4));
 
 /// Multi-process acceptance: the full hybrid PT-CN step with the ranks in
 /// separate OS processes over SocketComm must be bit-identical to the same
-/// step on ThreadComm. The thread-backed reference wavefunctions are
+/// step on ThreadComm, and so must the Fock self-apply and the exchange
+/// energy of the resulting orbitals. The thread-backed reference wavefunctions are
 /// computed in the parent before the fork, so every child reads them
 /// copy-on-write; any mismatch fails the child, which fails the parent
 /// through SocketGroup's exit-code contract. The parameter names the rank
@@ -313,7 +316,17 @@ TEST_P(SocketPtCn, FullHybridStepBitwiseMatchesThreadComm) {
   opt.max_scf = 60;
   opt.sp_comm = false;
 
-  std::vector<CMatrix> psi_ref(np);
+  // After the step (whose Fock applies are self-applies), the self-apply
+  // and the pair-density energy of the new orbitals are pinned as well.
+  auto exchange_of = [](RankContext& ctx, const CMatrix& psi_loc, const std::vector<double>& occ,
+                        const par::BlockPartition& bands, par::Comm& c, CMatrix& vx) {
+    ctx.hamiltonian.fock().set_orbitals(psi_loc, occ, bands, c);
+    vx = CMatrix(psi_loc.rows(), psi_loc.cols(), Complex{0, 0});
+    ctx.hamiltonian.fock().apply_self_add(vx, c);
+    return ctx.hamiltonian.fock().exchange_energy(c);
+  };
+  std::vector<CMatrix> psi_ref(np), vx_ref(np);
+  std::vector<double> ex_ref(np);
   par::ThreadGroup::run(np, [&](par::Comm& c) {
     RankContext ctx(3.0, true);
     par::BlockPartition bands(nb, np);
@@ -321,6 +334,7 @@ TEST_P(SocketPtCn, FullHybridStepBitwiseMatchesThreadComm) {
     td::PtCnPropagator prop(ctx.hamiltonian, bands, opt, np);
     auto rep = prop.step(psi_loc, occ, 0.0, kick, c);
     EXPECT_TRUE(rep.converged);
+    ex_ref[c.rank()] = exchange_of(ctx, psi_loc, occ, bands, c, vx_ref[c.rank()]);
     psi_ref[c.rank()] = std::move(psi_loc);
   });
   ASSERT_FALSE(::testing::Test::HasFailure());
@@ -340,6 +354,14 @@ TEST_P(SocketPtCn, FullHybridStepBitwiseMatchesThreadComm) {
           ASSERT_EQ(psi_loc.data()[i], expect.data()[i])
               << "rank " << c.rank() << " element " << i;
         }
+        CMatrix vx;
+        const double ex = exchange_of(ctx, psi_loc, occ, bands, c, vx);
+        const CMatrix& vx_expect = vx_ref[c.rank()];
+        ASSERT_EQ(vx.size(), vx_expect.size());
+        EXPECT_EQ(std::memcmp(vx.data(), vx_expect.data(), vx.size() * sizeof(Complex)), 0)
+            << "self-apply, rank " << c.rank();
+        EXPECT_EQ(std::memcmp(&ex, &ex_ref[c.rank()], sizeof(double)), 0)
+            << "exchange energy, rank " << c.rank();
       },
       /*timeout_sec=*/600);
 }

@@ -3,6 +3,7 @@
 #include "fft/fft3d.hpp"
 #include "ham/fock.hpp"
 #include "linalg/blas.hpp"
+#include "parallel/thread_comm.hpp"
 #include "test_helpers.hpp"
 
 namespace pwdft {
@@ -77,7 +78,7 @@ TEST(Fock, ExchangeEnergyMatchesDensityMatrixReference) {
   par::SerialComm comm;
   par::BlockPartition bands(4, 1);
   fock.set_orbitals(psi, occ, bands, comm);
-  const double e_op = fock.exchange_energy(psi, occ, comm);
+  const double e_op = fock.exchange_energy(comm);
   const double e_ref = exchange_energy_reference(setup, psi, occ, 0.25, 0.11);
   EXPECT_NEAR(e_op, e_ref, 1e-8 * std::abs(e_ref));
   EXPECT_LT(e_op, 0.0);
@@ -111,8 +112,8 @@ TEST(Fock, EnergyScalesLinearlyInAlpha) {
   ham::FockOperator f2(setup, xc::HybridParams{true, 0.50, 0.11});
   f1.set_orbitals(psi, occ, bands, comm);
   f2.set_orbitals(psi, occ, bands, comm);
-  const double e1 = f1.exchange_energy(psi, occ, comm);
-  const double e2 = f2.exchange_energy(psi, occ, comm);
+  const double e1 = f1.exchange_energy(comm);
+  const double e2 = f2.exchange_energy(comm);
   EXPECT_NEAR(e2, 2.0 * e1, 1e-10 * std::abs(e1));
 }
 
@@ -127,7 +128,7 @@ TEST(Fock, ScreeningWeakensExchangeMonotonically) {
   for (double omega : {0.05, 0.11, 0.3, 1.0}) {
     ham::FockOperator f(setup, xc::HybridParams{true, 0.25, omega});
     f.set_orbitals(psi, occ, bands, comm);
-    const double e = f.exchange_energy(psi, occ, comm);
+    const double e = f.exchange_energy(comm);
     EXPECT_LT(e, 0.0);
     if (!first) {
       EXPECT_GT(std::abs(prev), std::abs(e));  // larger omega => weaker exchange
@@ -190,16 +191,93 @@ TEST(Fock, ZeroOccupationOrbitalsDoNotContribute) {
 TEST(Fock, PairSolveCounterTracksWork) {
   auto setup = test::make_si8_setup(4.0, 1);
   auto phi = test::random_orthonormal(setup, 4, 25);
+  auto x = test::random_orthonormal(setup, 4, 27);
   std::vector<double> occ(4, 2.0);
   par::SerialComm comm;
   ham::FockOperator f(setup, hse());
   f.set_orbitals(phi, occ, par::BlockPartition(4, 1), comm);
   CMatrix y(setup.n_g(), 4, Complex{0, 0});
-  f.apply_add(phi, y, comm);
-  // Ne x Ne pair solves and Ne broadcasts per application (Alg. 2).
-  EXPECT_EQ(f.pair_solves(), 16u);
+  // The self-apply solves the 4 x 4 band block as its upper triangle.
+  f.apply_self_add(y, comm);
+  EXPECT_EQ(f.pair_solves(), 10u);
   EXPECT_EQ(f.broadcasts(), 4u);
+  // Any other block: Ne x Ne pair solves and Ne broadcasts (Alg. 2).
+  f.apply_add(x, y, comm);
+  EXPECT_EQ(f.pair_solves(), 26u);
+  EXPECT_EQ(f.broadcasts(), 8u);
+  // The energy runs forward FFTs only: no Poisson solve.
+  f.exchange_energy(comm);
+  EXPECT_EQ(f.pair_solves(), 26u);
+  EXPECT_EQ(f.broadcasts(), 12u);
 }
+
+/// Bands and occupations of the pair-symmetry tests: 7 bands over 3 ranks
+/// gives unequal blocks (3, 2, 2). Band 1 is empty and band 4 half filled,
+/// so a skip on the wrong occupation, or f_i in place of f_j, shows.
+class FockRanks : public ::testing::TestWithParam<int> {
+ protected:
+  static constexpr std::size_t kBands = 7;
+  static std::vector<double> occupations() { return {2.0, 0.0, 2.0, 2.0, 1.0, 2.0, 2.0}; }
+};
+
+TEST_P(FockRanks, SelfApplyMatchesApplyAddToRounding) {
+  const int np = GetParam();
+  auto setup = test::make_si8_setup(3.0, 1);
+  const CMatrix phi = test::random_orthonormal(setup, kBands, 29);
+  const std::vector<double> occ = occupations();
+  par::ThreadGroup::run(np, [&](par::Comm& c) {
+    auto setup_loc = test::make_si8_setup(3.0, 1);
+    const par::BlockPartition bands(kBands, np);
+    const CMatrix phi_loc = test::band_slice(phi, bands, c.rank());
+    // Batch 1 puts every partner in its own column block (one mirrored
+    // slice per block); batch 8 keeps each rank's block whole.
+    for (std::size_t batch : {1u, 8u}) {
+      ham::FockOptions fopt;
+      fopt.batch_size = batch;
+      ham::FockOperator fock(setup_loc, hse(), fopt);
+      fock.set_orbitals(phi_loc, occ, bands, c);
+      CMatrix y_ref(setup_loc.n_g(), phi_loc.cols(), Complex{0, 0});
+      fock.apply_add(phi_loc, y_ref, c);
+      CMatrix y(setup_loc.n_g(), phi_loc.cols(), Complex{0, 0});
+      fock.apply_self_add(y, c);
+      double y_max = 0.0;
+      for (std::size_t i = 0; i < y_ref.size(); ++i)
+        y_max = std::max(y_max, std::abs(y_ref.data()[i]));
+      EXPECT_GT(y_max, 0.0);
+      EXPECT_LE(test::max_abs_diff(y, y_ref), 1e-13 * y_max)
+          << "rank " << c.rank() << " batch " << batch;
+    }
+  });
+}
+
+TEST_P(FockRanks, ExchangeEnergyMatchesApplyAddExpectation) {
+  // E_X = 1/2 sum_j f_j <phi_j | VX phi_j>, here with VX phi from the
+  // general apply: the pair-density route must agree to rounding.
+  const int np = GetParam();
+  auto setup = test::make_si8_setup(3.0, 1);
+  const CMatrix phi = test::random_orthonormal(setup, kBands, 31);
+  const std::vector<double> occ = occupations();
+  par::ThreadGroup::run(np, [&](par::Comm& c) {
+    auto setup_loc = test::make_si8_setup(3.0, 1);
+    const par::BlockPartition bands(kBands, np);
+    const CMatrix phi_loc = test::band_slice(phi, bands, c.rank());
+    ham::FockOperator fock(setup_loc, hse());
+    fock.set_orbitals(phi_loc, occ, bands, c);
+    CMatrix vx(setup_loc.n_g(), phi_loc.cols(), Complex{0, 0});
+    fock.apply_add(phi_loc, vx, c);
+    double e_ref = 0.0;
+    for (std::size_t j = 0; j < phi_loc.cols(); ++j)
+      e_ref += 0.5 * occ[bands.offset(c.rank()) + j] *
+               linalg::dotc({phi_loc.col(j), setup_loc.n_g()}, {vx.col(j), setup_loc.n_g()})
+                   .real();
+    c.allreduce_sum(&e_ref, 1);
+    const double e = fock.exchange_energy(c);
+    EXPECT_LT(e, 0.0);
+    EXPECT_NEAR(e, e_ref, 1e-12 * std::abs(e_ref)) << "rank " << c.rank();
+  });
+}
+
+INSTANTIATE_TEST_SUITE_P(Np, FockRanks, ::testing::Values(1, 2, 3));
 
 TEST(Fock, RequiresOrbitalsBeforeApply) {
   auto setup = test::make_si8_setup(4.0, 1);
