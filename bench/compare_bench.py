@@ -16,8 +16,7 @@ are gated:
     better in both cases);
   - when the baseline record carries "floor": F, current.throughput must
     also be >= F (an absolute acceptance bound, e.g. 1.5 for the ACE
-    exchange speedup, 1.0 — never slower than staging — for the fused
-    pipeline speedups).
+    exchange speedup).
 
 Untracked records are trajectory data: reported, never gated. Exit status 0
 when every tracked record passes, 1 otherwise.

@@ -1,21 +1,17 @@
 // google-benchmark microkernels for the primitives behind the paper's cost
 // model: 1-D/3-D FFTs (the Fock operator is NG-point FFT bound), batched vs
-// band-by-band FFT submission (paper §3.2 step 2), fused vs staged operator
-// pipelines, the subspace linear algebra of Alg. 3 and LOBPCG (overlap and
-// rotation GEMMs, the TRSM of the re-orthonormalization, the Jacobi
-// Rayleigh-Ritz eigensolver), single-precision wire conversion (step 4), and
-// one full Fock pair solve.
+// band-by-band FFT submission (paper §3.2 step 2), the subspace linear
+// algebra of Alg. 3 and LOBPCG (overlap and rotation GEMMs, the TRSM of the
+// re-orthonormalization, the Jacobi Rayleigh-Ritz eigensolver),
+// single-precision wire conversion (step 4), and one full Fock pair solve.
 //
-// Carries its own main(): `--json <path>` additionally writes the runs (and
-// the derived pipeline_speedup records) in the bench_json.hpp schema for
-// the CI perf gate (bench/compare_bench.py).
+// Carries its own main(): `--json <path>` additionally writes the runs in
+// the bench_json.hpp schema (bench/compare_bench.py reads it).
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <array>
 #include <cmath>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -24,9 +20,7 @@
 #include "common/random.hpp"
 #include "fft/fft3d.hpp"
 #include "grid/transforms.hpp"
-#include "ham/density.hpp"
 #include "ham/fock.hpp"
-#include "ham/hamiltonian.hpp"
 #include "linalg/blas.hpp"
 #include "linalg/cholesky.hpp"
 #include "linalg/heig.hpp"
@@ -123,59 +117,6 @@ void BM_Fft3DBatchedThreaded(benchmark::State& state) {
 BENCHMARK(BM_Fft3DBatchedThreaded)
     ->ArgsProduct({{1, 2, 4}, {1, 4, 8, 16}})
     ->ArgNames({"threads", "batch"})
-    ->UseRealTime();
-
-void BM_OperatorPipeline(benchmark::State& state) {
-  // Whole-operator pipelines vs staged dispatch on the narrow-band hot
-  // paths: pipeline:1 runs the operator as ONE cached-graph replay
-  // (Fft3D::run_pipeline), pipeline:0 as the legacy per-stage batched
-  // dispatches. op:0 = semi-local Hamiltonian::apply (scatter → inverse
-  // passes → V·ψ + nonlocal → forward passes → gather → kinetic+add),
-  // op:1 = compute_density (scatter → inverse passes → chained |ψ|²
-  // accumulation → ordered reduction). nb = 2 bands < threads keeps the
-  // block narrow so the band×line split — and with it the pipeline —
-  // engages. Compare pipeline:1 against pipeline:0 at equal (op, threads);
-  // the derived pipeline_speedup records feed the perf gate (floor 1.0:
-  // fusing the stages must never be slower than staging them).
-  const auto mode =
-      state.range(0) ? fft::PipelineMode::kFused : fft::PipelineMode::kStaged;
-  const bool density_op = state.range(1) != 0;
-  const std::size_t threads = state.range(2);
-  exec::set_num_threads(threads);
-  // Small grids (Si8 at reduced cutoff): the regime where per-stage
-  // dispatch overhead is the dominant cost the pipeline removes.
-  ham::PlanewaveSetup setup(crystal::Crystal::silicon_supercell(1, 1, 1), 4.0, 1);
-  auto species = pseudo::PseudoSpecies::silicon(true);
-  const std::size_t nb = 2;
-  Rng rng(13);
-  CMatrix psi(setup.n_g(), nb);
-  for (std::size_t i = 0; i < psi.size(); ++i) psi.data()[i] = rng.complex_normal();
-  std::vector<double> occ(nb, 2.0);
-  par::SerialComm comm;
-  ham::HamiltonianOptions opt;
-  opt.hybrid.enabled = false;  // isolate the local pipeline (Fock has its own)
-  opt.op_pipeline = mode;
-  ham::Hamiltonian h(setup, species, opt);
-  CMatrix y;
-  if (density_op) {
-    (void)ham::compute_density(setup, h.fft_dense(), psi, occ, comm, true, mode);
-    for (auto _ : state) {
-      auto rho = ham::compute_density(setup, h.fft_dense(), psi, occ, comm, true, mode);
-      benchmark::DoNotOptimize(rho.data());
-    }
-  } else {
-    h.apply(psi, y, comm);  // warm-up: builds the cached pipeline graph
-    for (auto _ : state) {
-      h.apply(psi, y, comm);
-      benchmark::DoNotOptimize(y.data());
-    }
-  }
-  state.SetItemsProcessed(state.iterations() * nb);
-  exec::set_num_threads(1);
-}
-BENCHMARK(BM_OperatorPipeline)
-    ->ArgsProduct({{0, 1}, {0, 1}, {4}})
-    ->ArgNames({"pipeline", "op", "threads"})
     ->UseRealTime();
 
 void BM_SphereToGridTwoStep(benchmark::State& state) {
@@ -382,49 +323,6 @@ class CollectingReporter : public benchmark::ConsoleReporter {
   pwdft::benchjson::Writer* writer_;
 };
 
-/// Adds "<out_name>" ratio records: the mean throughput over all
-/// "<bench>/.../<key>:1/..." runs of one config divided by the mean of the
-/// matching "<key>:0" runs. The mean (not median) keeps the occasional
-/// scheduler-thrash spike that IS part of each side's real cost;
-/// run the harness with --benchmark_repetitions and
-/// --benchmark_enable_random_interleaving so system drift averages into
-/// both sides. The config of the derived record is the shared remainder
-/// ("op:0/threads:4").
-void derive_speedups(pwdft::benchjson::Writer& w, const std::string& bench,
-                     const std::string& key, const std::string& out_name) {
-  const std::string on = key + ":1";
-  const std::string off = key + ":0";
-  const auto records = w.records();  // copy: w.add below invalidates views
-  auto strip = [](std::string cfg, const std::string& tok) {
-    const std::size_t p = cfg.find(tok);
-    if (p == std::string::npos) return cfg;
-    std::size_t b = p, e = p + tok.size();
-    if (e < cfg.size() && cfg[e] == '/') ++e;        // "tok/rest" -> "rest"
-    else if (b > 0 && cfg[b - 1] == '/') --b;        // "rest/tok" -> "rest"
-    return cfg.erase(b, e - b);
-  };
-  // config (with the key token stripped) -> {on-walls, off-walls}. Ratios
-  // come from mean wall seconds (not mean throughput, whose reciprocal
-  // weighting would discount the spikes).
-  std::map<std::string, std::array<std::vector<double>, 2>> by_cfg;
-  for (const auto& r : records) {
-    if (r.benchmark != bench || r.wall_s <= 0.0) continue;
-    if (r.config.find(on) != std::string::npos)
-      by_cfg[strip(r.config, on)][1].push_back(r.wall_s);
-    else if (r.config.find(off) != std::string::npos)
-      by_cfg[strip(r.config, off)][0].push_back(r.wall_s);
-  }
-  auto mean = [](const std::vector<double>& v) {
-    double acc = 0.0;
-    for (const double x : v) acc += x;
-    return acc / static_cast<double>(v.size());
-  };
-  for (auto& [cfg, wall] : by_cfg) {
-    if (wall[0].empty() || wall[1].empty()) continue;
-    w.add(out_name, cfg, 0.0, mean(wall[0]) / mean(wall[1]));  // speedup of "on"
-  }
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -437,7 +335,6 @@ int main(int argc, char** argv) {
     pwdft::benchjson::Writer writer;
     CollectingReporter reporter(&writer);
     benchmark::RunSpecifiedBenchmarks(&reporter);
-    derive_speedups(writer, "BM_OperatorPipeline", "pipeline", "pipeline_speedup");
     writer.write(json_path);
   }
   benchmark::Shutdown();

@@ -25,7 +25,6 @@ Simulation::Simulation(std::shared_ptr<const ham::PlanewaveSetup> setup,
   hopt.use_nonlocal = opt.nonlocal;
   hopt.use_ace = opt.use_ace;
   hopt.ace_refresh = opt.ace_refresh;
-  hopt.op_pipeline = opt.op_pipeline;
   ham_ = std::make_unique<ham::Hamiltonian>(*setup_, species_, hopt);
   occ_.assign(setup_->n_bands(), 2.0);
 }
@@ -49,8 +48,7 @@ void Simulation::restore_wavefunctions(const CMatrix& psi) {
 
 ham::EnergyBreakdown Simulation::current_energy() {
   PWDFT_CHECK(ground_state_done_, "Simulation: run ground_state() first");
-  auto rho =
-      ham::compute_density(*setup_, ham_->fft_dense(), psi_, occ_, comm_, true, opt_.op_pipeline);
+  auto rho = ham::compute_density(*setup_, ham_->fft_dense(), psi_, occ_, comm_);
   ham_->update_density(rho);
   par::BlockPartition bands(psi_.cols(), 1);
   if (ham_->hybrid_enabled()) ham_->set_exchange_orbitals(psi_, occ_, bands, comm_);
@@ -86,8 +84,7 @@ std::vector<td::TimePoint> Simulation::propagate(const PropagateOptions& opt) {
     if (opt.record_excitation)
       p.n_excited = td::excited_electrons(*setup_, bands, psi0, psi_, occ_, comm_);
     if (opt.record_energy) {
-      auto rho = ham::compute_density(*setup_, ham_->fft_dense(), psi_, occ_, comm_, true,
-                                      opt_.op_pipeline);
+      auto rho = ham::compute_density(*setup_, ham_->fft_dense(), psi_, occ_, comm_);
       ham_->update_density(rho);
       if (ham_->hybrid_enabled()) ham_->set_exchange_orbitals(psi_, occ_, bands, comm_);
       p.energy = ham::compute_energy(*ham_, psi_, occ_, rho, comm_).total();

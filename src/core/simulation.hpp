@@ -35,11 +35,6 @@ struct SimulationOptions {
   xc::HybridParams hybrid_params{};
   ham::FockOptions fock{};
   scf::ScfOptions scf{};
-  /// Whole-operator pipeline mode for the narrow-band hot paths
-  /// (Hamiltonian apply, density, Fock pair solves): kAuto resolves
-  /// PWDFT_OPERATOR_PIPELINE, default fused — each narrow operator
-  /// application is one cached-graph replay. Bit-identical across modes.
-  fft::PipelineMode op_pipeline = fft::PipelineMode::kAuto;
   std::uint64_t seed = 42;
 };
 

@@ -1,8 +1,6 @@
 #include "fft/fft3d.hpp"
 
 #include <algorithm>
-#include <cstdlib>
-#include <string_view>
 
 #include "common/check.hpp"
 #include "common/exec.hpp"
@@ -81,19 +79,6 @@ struct Fft3D::CachedGraph {
   std::vector<StageKey> stages;
   exec::TaskGraph graph;
 };
-
-PipelineMode pipeline_env_default() {
-  static const PipelineMode m = [] {
-    if (const char* e = std::getenv("PWDFT_OPERATOR_PIPELINE")) {
-      const std::string_view v(e);
-      if (v == "fused") return PipelineMode::kFused;
-      if (v == "staged") return PipelineMode::kStaged;
-      PWDFT_CHECK(false, "PWDFT_OPERATOR_PIPELINE must be 'fused' or 'staged'");
-    }
-    return PipelineMode::kFused;
-  }();
-  return m;
-}
 
 Fft3D::Fft3D(std::array<std::size_t, 3> dims)
     : dims_(dims), plan_x_(dims[0]), plan_y_(dims[1]), plan_z_(dims[2]) {}

@@ -63,18 +63,11 @@
 
 namespace pwdft::fft {
 
-/// Whole-operator pipeline mode of the narrow-band hot paths
-/// (ham::Hamiltonian::apply, ham::compute_density, the Fock pair solves):
-///   kFused  — the operator runs as one Fft3D::run_pipeline call (a single
-///             cached-graph replay);
-///   kStaged — the legacy formulation: one batched dispatch per stage.
-/// Both are bit-identical at any engine width (tests/test_band_parallel.cpp
-/// sweeps mode × width). kAuto resolves pipeline_env_default().
-enum class PipelineMode { kAuto, kFused, kStaged };
-
-/// Process-wide default: PWDFT_OPERATOR_PIPELINE=fused|staged (read once),
-/// else kFused.
-PipelineMode pipeline_env_default();
+/// The one formulation of the narrow-band operators: Fft3D::run_pipeline.
+/// Kept only as the type of HamiltonianOptions::op_pipeline, which
+/// perfbench/ptbench.cpp still passes to ham::compute_density; nothing
+/// branches on it. Delete with that call form (ROADMAP item 1).
+enum class PipelineMode { kFused };
 
 class Fft3D {
  public:

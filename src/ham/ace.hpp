@@ -32,8 +32,8 @@ class AceOperator {
   /// apply_self_add) plus dense linear algebra in the G-space layout.
   /// Collective. Deterministic: serial dense algebra on G-layout
   /// blocks produced by the (bit-identical) transpose, so the result is
-  /// identical across thread width, pipeline mode, and Comm backend
-  /// whenever the Fock apply is (docs/threading.md).
+  /// identical across thread width and Comm backend whenever the Fock
+  /// apply is (docs/threading.md).
   void build(FockOperator& fock, const CMatrix& phi_local, par::Comm& comm);
 
   bool ready() const { return !xi_g_.empty(); }

@@ -10,11 +10,11 @@ namespace pwdft::ham {
 
 namespace {
 
-/// Interior stage of the fused density pipeline: band b's |ψ|² accumulated
+/// Interior stage of the narrow density pipeline: band b's |ψ|² accumulated
 /// into its chunk's partial density. Chained per chunk (Stage::chain =
 /// bands-per-chunk), so a chunk's bands add in exact band order — the same
-/// per-element operation sequence as the chunk loop of the staged and band
-/// paths, keeping all formulations bit-identical.
+/// per-element operation sequence as the chunk loop of the band path,
+/// keeping both formulations bit-identical.
 struct RhoAccumHook {
   const double* occ = nullptr;
   double inv_vol = 0.0;
@@ -58,8 +58,7 @@ struct RhoReduceHook {
 
 std::vector<double> compute_density(const PlanewaveSetup& setup, fft::Fft3D& fft_dense,
                                     const CMatrix& psi_local, std::span<const double> occ_local,
-                                    par::Comm& comm, bool band_line_split,
-                                    fft::PipelineMode pipeline) {
+                                    par::Comm& comm) {
   PWDFT_CHECK(psi_local.cols() == occ_local.size(), "compute_density: occupations mismatch");
   const std::size_t nd = setup.n_dense();
   const std::size_t nb = psi_local.cols();
@@ -88,43 +87,32 @@ std::vector<double> compute_density(const PlanewaveSetup& setup, fft::Fft3D& fft
   auto parts = exec::workspace().rbuf(exec::Slot::rho_part, nchunks * nd);
 
   // Hybrid band×line schedule: with fewer bands than engine threads the
-  // chunk loop cannot fill the engine, so the transforms are hoisted into
-  // one batched (band × FFT line) pass first and the chunk loop below reads
-  // the precomputed grids. The accumulation statement is the same compiled
-  // loop in either mode and the FFT per line is the identical serial
-  // kernel, so the reduction tree — and every bit of rho — is unchanged.
-  //
-  // In the fused pipeline mode the whole narrow formulation — scatter,
-  // masked inverse passes, chunk accumulation (chained in band order), and
-  // the ordered chunk reduction — is ONE Fft3D::run_pipeline call: a single
-  // cached-graph replay (one pool wake). Every
-  // hook runs the same per-element statements in the same order as the
-  // staged chunk loop, so all formulations stay bit-identical.
-  if (pipeline == fft::PipelineMode::kAuto) pipeline = fft::pipeline_env_default();
-  const CMatrix* pregrids = nullptr;
-  if (band_line_split && exec::prefer_line_split(nb)) {
+  // chunk loop cannot fill the engine, so the whole narrow formulation —
+  // scatter, masked inverse passes, chunk accumulation (chained in band
+  // order), and the ordered chunk reduction — is ONE Fft3D::run_pipeline
+  // call: a single cached-graph replay (one pool wake). Every hook runs the
+  // same per-element statements in the same order as the chunk loop below,
+  // and the FFT per line is the identical serial kernel, so the reduction
+  // tree — and every bit of rho — is unchanged.
+  if (exec::prefer_line_split(nb)) {
     CMatrix& grids = exec::workspace().cmat(exec::Slot::rho_grids, nd, nb);
-    if (pipeline == fft::PipelineMode::kFused) {
-      // Width-independent job count for the reduction slice nodes (part of
-      // the graph shape, never of the results — each element reduces its
-      // own chunk column independently).
-      const std::size_t njobs = std::min<std::size_t>(32, (nd + 4095) / 4096);
-      const std::size_t ng = setup.n_g();
-      grid::ScatterHook scatter{setup.smap_dense.map.data(), ng, psi_local.data(), ng,
-                                grids.data(),                nd};
-      RhoAccumHook accum{occ_local.data(), inv_vol, grids.data(), parts.data(), nd, bper};
-      RhoReduceHook reduce{parts.data(), rho.data(), nd, nchunks, njobs};
-      const std::array<fft::Fft3D::Stage, 4> stages = {
-          fft::Fft3D::Stage::make_hook(&grid::ScatterHook::run, &scatter),
-          grid::inverse_passes_stage(setup.smap_dense, grids.data()),
-          fft::Fft3D::Stage::make_hook(&RhoAccumHook::run, &accum, bper),
-          fft::Fft3D::Stage::make_join(&RhoReduceHook::run, &reduce, njobs)};
-      fft_dense.run_pipeline(nb, stages);
-      comm.allreduce_sum(rho.data(), rho.size());
-      return rho;
-    }
-    grid::sphere_to_grid_many(fft_dense, setup.smap_dense, psi_local, grids);
-    pregrids = &grids;
+    // Width-independent job count for the reduction slice nodes (part of
+    // the graph shape, never of the results — each element reduces its own
+    // chunk column independently).
+    const std::size_t njobs = std::min<std::size_t>(32, (nd + 4095) / 4096);
+    const std::size_t ng = setup.n_g();
+    grid::ScatterHook scatter{setup.smap_dense.map.data(), ng, psi_local.data(), ng,
+                              grids.data(),                nd};
+    RhoAccumHook accum{occ_local.data(), inv_vol, grids.data(), parts.data(), nd, bper};
+    RhoReduceHook reduce{parts.data(), rho.data(), nd, nchunks, njobs};
+    const std::array<fft::Fft3D::Stage, 4> stages = {
+        fft::Fft3D::Stage::make_hook(&grid::ScatterHook::run, &scatter),
+        grid::inverse_passes_stage(setup.smap_dense, grids.data()),
+        fft::Fft3D::Stage::make_hook(&RhoAccumHook::run, &accum, bper),
+        fft::Fft3D::Stage::make_join(&RhoReduceHook::run, &reduce, njobs)};
+    fft_dense.run_pipeline(nb, stages);
+    comm.allreduce_sum(rho.data(), rho.size());
+    return rho;
   }
 
   exec::parallel_for(nchunks, [&](std::size_t cb, std::size_t ce) {
@@ -133,16 +121,10 @@ std::vector<double> compute_density(const PlanewaveSetup& setup, fft::Fft3D& fft
       std::fill_n(part, nd, 0.0);
       const std::size_t j1 = std::min(nb, (c + 1) * bper);
       for (std::size_t j = c * bper; j < j1; ++j) {
-        const Complex* w;
-        if (pregrids) {
-          w = pregrids->col(j);
-        } else {
-          // Per-band transform scratch from the executing thread's arena.
-          auto work = exec::workspace().cbuf(exec::Slot::grid_a, nd);
-          grid::sphere_to_grid(fft_dense, setup.smap_dense, {psi_local.col(j), setup.n_g()},
-                               work);
-          w = work.data();
-        }
+        // Per-band transform scratch from the executing thread's arena.
+        auto work = exec::workspace().cbuf(exec::Slot::grid_a, nd);
+        grid::sphere_to_grid(fft_dense, setup.smap_dense, {psi_local.col(j), setup.n_g()}, work);
+        const Complex* w = work.data();
         const double f = occ_local[j] * inv_vol;
         for (std::size_t i = 0; i < nd; ++i) part[i] += f * std::norm(w[i]);
       }

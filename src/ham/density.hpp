@@ -18,21 +18,24 @@ namespace pwdft::ham {
 /// rho(r) on the dense grid from band-distributed orbitals; occ_local are
 /// the occupations of the local bands. Collective over `comm`.
 ///
-/// `band_line_split` enables the hybrid band×line schedule: when the local
-/// band count is below the engine width, the per-band transforms run as one
-/// batched (band × FFT line) pass before the fixed-chunk accumulation.
-/// `pipeline` (kAuto resolves PWDFT_OPERATOR_PIPELINE, default fused)
-/// selects how that narrow formulation executes: kFused runs scatter →
-/// inverse passes → |ψ|² chunk accumulation (chained in band order) →
-/// ordered chunk reduction as ONE Fft3D::run_pipeline call — a single
-/// cached-graph replay / one pool wake — while
-/// kStaged keeps the per-stage batched dispatches. All paths are
-/// bit-identical at any width (docs/threading.md); tests force every
-/// combination to pin the equivalence.
+/// Hybrid band×line schedule: when the local band count is below the engine
+/// width (exec::prefer_line_split), scatter → inverse passes → |ψ|² chunk
+/// accumulation (chained in band order) → ordered chunk reduction run as
+/// ONE Fft3D::run_pipeline call — a single cached-graph replay / one pool
+/// wake. Both paths are bit-identical at any width (docs/threading.md).
 std::vector<double> compute_density(const PlanewaveSetup& setup, fft::Fft3D& fft_dense,
                                     const CMatrix& psi_local, std::span<const double> occ_local,
-                                    par::Comm& comm, bool band_line_split = true,
-                                    fft::PipelineMode pipeline = fft::PipelineMode::kAuto);
+                                    par::Comm& comm);
+
+/// perfbench/ptbench.cpp's call form, `..., comm, true,
+/// h.options().op_pipeline)`: the two trailing arguments are ignored.
+/// Delete with that call form (ROADMAP item 1).
+inline std::vector<double> compute_density(const PlanewaveSetup& setup, fft::Fft3D& fft_dense,
+                                           const CMatrix& psi_local,
+                                           std::span<const double> occ_local, par::Comm& comm,
+                                           bool, fft::PipelineMode) {
+  return compute_density(setup, fft_dense, psi_local, occ_local, comm);
+}
 
 /// Integral of a dense-grid function: (Omega/N) * sum_r f(r).
 double integrate_dense(const PlanewaveSetup& setup, std::span<const double> f);

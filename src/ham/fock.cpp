@@ -17,11 +17,9 @@ constexpr double kEmpty = 1e-12;
 
 /// Stage hooks of one (band-in-window, column-block) task: batch member b
 /// pairs the broadcast orbital phi_i with column b of the task's block of
-/// partner columns. The fused pair solve mounts form → forward passes →
-/// kernel_mul → inverse passes → write_out as one run_pipeline call, the
-/// staged formulation calls the same hooks between batched FFTs, and the
-/// exchange energy runs form → forward passes → kernel_norm, so every
-/// formulation executes identical per-element statements.
+/// partner columns. The pair solve mounts form → forward passes →
+/// kernel_mul → inverse passes → write_out as one run_pipeline call, and the
+/// exchange energy runs form → forward passes → kernel_norm.
 struct PairHooks {
   const Complex* qi = nullptr;    ///< broadcast orbital phi_i, wfc grid
   const Complex* cols = nullptr;  ///< partner column of member 0, wfc grid
@@ -97,13 +95,13 @@ ColumnRange in_block(ColumnRange r, std::size_t blk, std::size_t bs) {
 
 /// Runs the n (band-in-window, column-block) tasks of a window. Hybrid
 /// band×line schedule: a window narrower than the engine runs its tasks
-/// serially here so each task's batched pair FFTs win the pool — each
-/// batched transform replays the persistent task graph cached for its block
-/// shape (one pool wake per transform). Identical per-task operations
-/// either way, so the choice never changes results (docs/threading.md).
+/// serially here so each task's pair-solve pipeline wins the pool — each
+/// replays the persistent task graph cached for its block shape (one pool
+/// wake per task). Identical per-task operations either way, so the choice
+/// never changes results (docs/threading.md).
 template <class F>
-void run_tasks(bool band_line_split, std::size_t n, F&& task) {
-  if (band_line_split && exec::prefer_line_split(n)) {
+void run_tasks(std::size_t n, F&& task) {
+  if (exec::prefer_line_split(n)) {
     task(std::size_t{0}, n);
   } else {
     exec::parallel_for(n, task);
@@ -117,8 +115,6 @@ FockOperator::FockOperator(const PlanewaveSetup& setup, xc::HybridParams hybrid,
       hybrid_(hybrid),
       opt_(opt),
       fft_wfc_(fft::shared_engine(setup.wfc_grid.dims())) {
-  if (opt_.op_pipeline == fft::PipelineMode::kAuto)
-    opt_.op_pipeline = fft::pipeline_env_default();
   // Precompute K(G)/N on the wavefunction grid (the paper evaluates the
   // exchange on the wavefunction grid, §4).
   const auto dims = setup_.wfc_grid.dims();
@@ -256,7 +252,7 @@ void FockOperator::apply_grid_add(const CMatrix& psi_real, bool self, CMatrix& y
   auto& ws = exec::workspace();
   CMatrix& acc = ws.cmat(exec::Slot::fock_acc, nw, ncol);
   acc.fill(Complex{0.0, 0.0});
-  const std::size_t bs = opt_.batched ? std::max<std::size_t>(1, opt_.batch_size) : 1;
+  const std::size_t bs = std::max<std::size_t>(1, opt_.batch_size);
   const std::size_t nblocks = (ncol + bs - 1) / bs;
   const std::size_t win = std::max<std::size_t>(1, opt_.band_window);
   const std::size_t o = self ? bands_.offset(comm.rank()) : 0;
@@ -292,8 +288,10 @@ void FockOperator::apply_grid_add(const CMatrix& psi_real, bool self, CMatrix& y
   for_each_window(comm, [&](std::size_t w0, std::size_t wn, const Complex* orbitals) {
     // One task per (band-in-window, column block): the dominant O(Ne^2)
     // loop. Each task forms its pair densities in its own thread's arena
-    // and runs the batched Poisson solve inline (nested FFT parallel_for
-    // runs inline on a worker).
+    // and runs the whole pair solve as one pipeline: the interior multiplies
+    // are graph nodes chained between the pass stages, so the task is a
+    // single cached-graph replay (keyed by the block shape jn), which runs
+    // inline when the task itself runs on a worker.
     auto pair_block = [&](std::size_t tb, std::size_t te) {
       for (std::size_t t = tb; t < te; ++t) {
         const std::size_t il = t / nblocks;
@@ -318,28 +316,16 @@ void FockOperator::apply_grid_add(const CMatrix& psi_real, bool self, CMatrix& y
           h.mirror_from = r.lo == i - o ? 1 : 0;
           h.neg_half_alpha = -hybrid_.alpha * 0.5;
         }
-        if (opt_.op_pipeline == fft::PipelineMode::kFused) {
-          // The whole pair solve as one pipeline: the interior multiplies
-          // are graph nodes chained between the pass stages, so the task is
-          // a single cached-graph replay (keyed by the block shape jn)
-          // instead of two replays bracketed by three serial loops.
-          const std::array<fft::Fft3D::Stage, 5> stages = {
-              fft::Fft3D::Stage::make_hook(&PairHooks::form, &h),
-              fft_wfc_->full_passes_stage(-1, pair.data()),
-              fft::Fft3D::Stage::make_hook(&PairHooks::kernel_mul, &h),
-              fft_wfc_->full_passes_stage(+1, pair.data()),
-              fft::Fft3D::Stage::make_hook(&PairHooks::write_out, &h, h.mirror ? jn : 0)};
-          fft_wfc_->run_pipeline(jn, stages);
-          continue;
-        }
-        for (std::size_t b = 0; b < jn; ++b) PairHooks::form(&h, b);
-        fft_wfc_->forward_many(pair.data(), jn);
-        for (std::size_t b = 0; b < jn; ++b) PairHooks::kernel_mul(&h, b);
-        fft_wfc_->inverse_many(pair.data(), jn);
-        for (std::size_t b = 0; b < jn; ++b) PairHooks::write_out(&h, b);
+        const std::array<fft::Fft3D::Stage, 5> stages = {
+            fft::Fft3D::Stage::make_hook(&PairHooks::form, &h),
+            fft_wfc_->full_passes_stage(-1, pair.data()),
+            fft::Fft3D::Stage::make_hook(&PairHooks::kernel_mul, &h),
+            fft_wfc_->full_passes_stage(+1, pair.data()),
+            fft::Fft3D::Stage::make_hook(&PairHooks::write_out, &h, h.mirror ? jn : 0)};
+        fft_wfc_->run_pipeline(jn, stages);
       }
     };
-    run_tasks(opt_.band_line_split, wn * nblocks, pair_block);
+    run_tasks(wn * nblocks, pair_block);
     for (std::size_t il = 0; il < wn; ++il) {
       const ColumnRange r = columns(w0 + il);
       pair_solves_ += r.hi - r.lo;
@@ -386,7 +372,7 @@ double FockOperator::exchange_energy(par::Comm& comm) {
   const std::size_t ncol = phi_real_.cols();
   const int me = comm.rank();
   const std::size_t o = bands_.offset(me);
-  const std::size_t bs = opt_.batched ? std::max<std::size_t>(1, opt_.batch_size) : 1;
+  const std::size_t bs = std::max<std::size_t>(1, opt_.batch_size);
   const std::size_t nblocks = (ncol + bs - 1) / bs;
   const std::size_t win = std::max<std::size_t>(1, opt_.band_window);
 
@@ -441,7 +427,7 @@ double FockOperator::exchange_energy(par::Comm& comm) {
         partial[t] = occ_[i] * s;
       }
     };
-    run_tasks(opt_.band_line_split, wn * nblocks, pair_block);
+    run_tasks(wn * nblocks, pair_block);
     for (std::size_t t = 0; t < wn * nblocks; ++t) e += partial[t];
   });
   e *= -hybrid_.alpha / (4.0 * static_cast<double>(nw) * setup_.volume());

@@ -9,7 +9,8 @@
 /// (paper: MPI_Bcast "in an as-needed basis"), then every rank solves its
 /// local Poisson-like equations by FFT. Implementation options mirror the
 /// paper's optimization steps (§3.2):
-///   - batched:               batch the pair-density FFTs (step 2)
+///   - batch_size:            pair-density FFTs per batched solve (step 2;
+///                            1 is band-by-band)
 ///   - single_precision_comm: broadcast wavefunctions as complex<float> (step 4)
 ///   - band_window:           bands whose (band x batch) pair solves are
 ///                            distributed across the engine as one window
@@ -52,7 +53,8 @@
 namespace pwdft::ham {
 
 struct FockOptions {
-  bool batched = true;
+  /// Pair densities per batched Poisson solve (paper §3.2 step 2); 1 solves
+  /// band by band.
   std::size_t batch_size = 8;
   bool single_precision_comm = false;
   /// Bands per compute window: the band loop broadcasts a window of
@@ -66,21 +68,6 @@ struct FockOptions {
   /// the block being applied to) — raise it for wide engines, lower it
   /// when memory-bound.
   std::size_t band_window = 4;
-  /// Hybrid band×line scheduling: a window whose (band x batch) task count
-  /// is below the engine width runs its tasks serially on the applying
-  /// thread so each task's batched pair FFTs win the whole pool (line-level
-  /// parallelism) instead of executing inline inside an underfilled band
-  /// loop. Bit-identical either way (docs/threading.md).
-  bool band_line_split = true;
-  /// Whole-operator pipeline mode of the batched pair solves: kFused chains
-  /// pair-density multiply → forward passes → kernel multiply → inverse
-  /// passes → write-out into ONE Fft3D::run_pipeline call per (band, block)
-  /// task — a single cached-graph replay instead of two replays plus three
-  /// serial loops — so the interior multiplies parallelize inside the same
-  /// graph as their FFTs. kStaged keeps the per-stage formulation.
-  /// Bit-identical at any width. kAuto resolves PWDFT_OPERATOR_PIPELINE
-  /// (or inherits the Hamiltonian-level choice when owned by one).
-  fft::PipelineMode op_pipeline = fft::PipelineMode::kAuto;
 };
 
 class FockOperator {

@@ -9,20 +9,10 @@ namespace pwdft::ham {
 
 namespace {
 
-/// An unset Fock pipeline mode inherits the Hamiltonian-level choice, so one
-/// option pins both the dense-grid and the wfc-grid operators. The pipeline
-/// mode itself resolves its env default here so apply() branches on a fixed
-/// value.
-HamiltonianOptions normalize(HamiltonianOptions o) {
-  if (o.op_pipeline == fft::PipelineMode::kAuto) o.op_pipeline = fft::pipeline_env_default();
-  if (o.fock.op_pipeline == fft::PipelineMode::kAuto) o.fock.op_pipeline = o.op_pipeline;
-  return o;
-}
-
-/// Interior stage of the fused apply() pipeline: column b of the dense-grid
+/// Interior stage of the narrow apply() pipeline: column b of the dense-grid
 /// orbitals multiplied by the total local potential (plus the nonlocal
 /// projectors) into the vlocs block. The same per-element statements as the
-/// staged formulation, so the two schedules are bit-identical.
+/// band path, so the two schedules are bit-identical.
 struct VmulHook {
   const double* vt = nullptr;
   const Complex* grids = nullptr;
@@ -40,11 +30,11 @@ struct VmulHook {
   }
 };
 
-/// Tail stage of the fused apply() pipeline: kinetic term plus the gathered
+/// Tail stage of the narrow apply() pipeline: kinetic term plus the gathered
 /// local-potential coefficients for column b. Two separate pure loops
-/// (multiply, then add) exactly like the band and staged paths — a single
-/// fused expression could contract to FMA and break bit-identity between
-/// the schedules.
+/// (multiply, then add) exactly like the band path — a single fused
+/// expression could contract to FMA and break bit-identity between the
+/// schedules.
 struct KineticAddHook {
   const double* kin = nullptr;
   const Complex* psi = nullptr;
@@ -67,7 +57,7 @@ struct KineticAddHook {
 Hamiltonian::Hamiltonian(const PlanewaveSetup& setup, const pseudo::PseudoSpecies& species,
                          HamiltonianOptions options)
     : setup_(setup),
-      options_(normalize(options)),
+      options_(options),
       fft_dense_(fft::shared_engine(setup.dense_grid.dims())),
       fock_(setup, options_.hybrid, options_.fock),
       ace_(setup) {
@@ -170,78 +160,36 @@ void Hamiltonian::apply_local(const CMatrix& psi_local, CMatrix& y_local, TimerR
     const double inv_nd = 1.0 / static_cast<double>(nd);
     const double* vt = v_total_.data();
 
-    if (options_.band_line_split && ncol > 0 && exec::prefer_line_split(ncol)) {
+    if (ncol > 0 && exec::prefer_line_split(ncol)) {
       // Hybrid band×line schedule: fewer bands than engine threads, so the
       // band-parallel loop below would leave threads idle through every
-      // FFT. Run the identical math as three batched stages instead — the
-      // fused transforms parallelize over the joint (band × FFT line)
-      // domain (each one a single replay of a cached task graph), the
-      // point-wise stages over all elements.
-      // Every per-line kernel and per-element operation matches the band
-      // path exactly, so results are bit-identical whichever path the
-      // width selects (docs/threading.md).
+      // FFT. Run the identical math as one whole-operator pipeline instead:
+      // scatter → inverse passes → V·ψ+nonlocal → forward passes → gather →
+      // kinetic+add in ONE Fft3D::run_pipeline call, a single cached-graph
+      // replay (one pool wake) whose FFT passes parallelize over the joint
+      // (band × FFT line) domain, with band b free to run its V·ψ stage
+      // while band b' is still scattering. Every per-line kernel and
+      // per-element operation matches the band path exactly, so results
+      // are bit-identical whichever path the width selects
+      // (docs/threading.md, tests/test_band_parallel.cpp).
       auto& ws = exec::workspace();
       CMatrix& grids = ws.cmat(exec::Slot::ham_grids, nd, ncol);
       CMatrix& vlocs = ws.cmat(exec::Slot::ham_vlocs, nd, ncol);
       CMatrix& coeffs = ws.cmat(exec::Slot::ham_coeffs, ng, ncol);
-      if (options_.op_pipeline == fft::PipelineMode::kFused) {
-        // Whole-operator pipeline: the six stages below are ONE
-        // Fft3D::run_pipeline call — a single cached-graph replay (one pool
-        // wake), with band b free to run its V·ψ stage while band b' is
-        // still scattering. Every hook executes
-        // the same per-element statements as the staged branch, so the two
-        // are bit-identical at any width (tests/test_band_parallel.cpp).
-        grid::ScatterHook scatter{setup_.smap_dense.map.data(), ng,         psi_local.data(),
-                                  ng,                           grids.data(), nd};
-        VmulHook vmul{vt, grids.data(), vlocs.data(), nd, nonlocal_.get(), weight};
-        grid::GatherHook gather{setup_.smap_dense.map.data(), ng,     vlocs.data(), nd,
-                                inv_nd,                       coeffs.data(), ng};
-        KineticAddHook tail{kin_.data(), psi_local.data(), coeffs.data(), y_local.data(), ng};
-        const std::array<fft::Fft3D::Stage, 6> stages = {
-            fft::Fft3D::Stage::make_hook(&grid::ScatterHook::run, &scatter),
-            grid::inverse_passes_stage(setup_.smap_dense, grids.data()),
-            fft::Fft3D::Stage::make_hook(&VmulHook::run, &vmul),
-            grid::forward_passes_stage(setup_.smap_dense, vlocs.data()),
-            fft::Fft3D::Stage::make_hook(&grid::GatherHook::run, &gather),
-            fft::Fft3D::Stage::make_hook(&KineticAddHook::run, &tail)};
-        fft_dense_->run_pipeline(ncol, stages);
-      } else {
-        grid::sphere_to_grid_many(*fft_dense_, setup_.smap_dense, psi_local, grids);
-        const Complex* gw = grids.data();
-        Complex* vp = vlocs.data();
-        exec::parallel_for_cols(ncol, nd, [=](std::size_t col, std::size_t r0, std::size_t len) {
-          const double* v = vt + r0;
-          const Complex* g = gw + col * nd + r0;
-          Complex* p = vp + col * nd + r0;
-          for (std::size_t k = 0; k < len; ++k) p[k] = v[k] * g[k];
-        });
-        if (nonlocal_) {
-          exec::parallel_for(ncol, [&](std::size_t jb, std::size_t je) {
-            for (std::size_t j = jb; j < je; ++j)
-              nonlocal_->apply_add({grids.col(j), nd}, {vlocs.col(j), nd}, weight);
-          });
-        }
-        grid::grid_to_sphere_many(*fft_dense_, setup_.smap_dense, vlocs, inv_nd, coeffs);
-        // Two separate stages (pure multiply, then pure add) exactly like
-        // the band path — a single fused expression could contract to FMA
-        // and break bit-identity between the two schedules.
-        const double* kin = kin_.data();
-        const Complex* co = coeffs.data();
-        const Complex* ps = psi_local.data();
-        Complex* yp = y_local.data();
-        exec::parallel_for_cols(ncol, ng, [=](std::size_t col, std::size_t r0, std::size_t len) {
-          const double* kk = kin + r0;
-          const Complex* p = ps + col * ng + r0;
-          Complex* y = yp + col * ng + r0;
-          for (std::size_t k = 0; k < len; ++k) y[k] = kk[k] * p[k];
-        });
-        exec::parallel_for(
-            ncol * ng,
-            [=](std::size_t b, std::size_t e) {
-              for (std::size_t i = b; i < e; ++i) yp[i] += co[i];
-            },
-            4096);
-      }
+      grid::ScatterHook scatter{setup_.smap_dense.map.data(), ng,         psi_local.data(),
+                                ng,                           grids.data(), nd};
+      VmulHook vmul{vt, grids.data(), vlocs.data(), nd, nonlocal_.get(), weight};
+      grid::GatherHook gather{setup_.smap_dense.map.data(), ng,     vlocs.data(), nd,
+                              inv_nd,                       coeffs.data(), ng};
+      KineticAddHook tail{kin_.data(), psi_local.data(), coeffs.data(), y_local.data(), ng};
+      const std::array<fft::Fft3D::Stage, 6> stages = {
+          fft::Fft3D::Stage::make_hook(&grid::ScatterHook::run, &scatter),
+          grid::inverse_passes_stage(setup_.smap_dense, grids.data()),
+          fft::Fft3D::Stage::make_hook(&VmulHook::run, &vmul),
+          grid::forward_passes_stage(setup_.smap_dense, vlocs.data()),
+          fft::Fft3D::Stage::make_hook(&grid::GatherHook::run, &gather),
+          fft::Fft3D::Stage::make_hook(&KineticAddHook::run, &tail)};
+      fft_dense_->run_pipeline(ncol, stages);
     } else {
       // Band-parallel: each band writes only its own column of y, so the
       // loop runs on the engine with bit-identical results at any thread

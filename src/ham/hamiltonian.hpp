@@ -38,21 +38,10 @@ struct HamiltonianOptions {
   /// rebuild at their own schedule points through request_ace_refresh()
   /// regardless of this cadence.
   int ace_refresh = 1;
-  /// Hybrid band×line scheduling: when the local band count is below the
-  /// engine width, apply() switches from the band-parallel loop (per-band
-  /// FFTs inline) to one batched formulation whose FFT passes parallelize
-  /// over the joint (band × FFT line) domain. Bit-identical to the band
-  /// path at any width (docs/threading.md); costs ~3 * ncol * n_dense
-  /// complex doubles of arena in the narrow-band case.
-  bool band_line_split = true;
-  /// Whole-operator pipeline mode of the narrow (band×line split) apply():
-  /// kFused runs scatter → inverse passes → V·ψ+nonlocal → forward passes →
-  /// gather → kinetic+add as ONE Fft3D::run_pipeline call (a single
-  /// cached-graph replay / one pool wake); kStaged keeps the per-stage
-  /// batched dispatches. Bit-identical at any width. kAuto resolves
-  /// PWDFT_OPERATOR_PIPELINE (default fused); unless fock.op_pipeline
-  /// overrides, the Fock operator inherits this choice.
-  fft::PipelineMode op_pipeline = fft::PipelineMode::kAuto;
+  /// perfbench/ptbench.cpp's call form of compute_density reads this; it
+  /// cannot be set and nothing branches on it. Delete with that call form
+  /// (ROADMAP item 1).
+  static constexpr fft::PipelineMode op_pipeline = fft::PipelineMode::kFused;
 };
 
 class Hamiltonian {

@@ -40,9 +40,7 @@ ScfResult GroundStateSolver::scf_phase(CMatrix& psi, std::span<const double> occ
   par::SerialComm comm;
   ScfResult res;
 
-  std::vector<double> rho =
-      ham::compute_density(setup_, ham_.fft_dense(), psi, occ, comm, true,
-                           ham_.options().op_pipeline);
+  std::vector<double> rho = ham::compute_density(setup_, ham_.fft_dense(), psi, occ, comm);
   ham_.update_density(rho);
 
   AndersonMixer mixer(setup_.n_dense(), opt.anderson_depth, opt.mix_beta);
@@ -61,9 +59,7 @@ ScfResult GroundStateSolver::scf_phase(CMatrix& psi, std::span<const double> occ
     LobpcgResult lr = lobpcg(apply, ham_.kinetic(), psi, opt.lobpcg);
     res.eigenvalues = lr.eigenvalues;
 
-    std::vector<double> rho_out =
-        ham::compute_density(setup_, ham_.fft_dense(), psi, occ, comm, true,
-                           ham_.options().op_pipeline);
+    std::vector<double> rho_out = ham::compute_density(setup_, ham_.fft_dense(), psi, occ, comm);
     res.rho_error = ham::density_error(setup_, rho_out, rho);
     res.scf_iterations = it + 1;
     if (opt.verbose) {
@@ -97,8 +93,7 @@ ScfResult GroundStateSolver::solve(CMatrix& psi, std::span<const double> occ,
   ScfResult res = scf_phase(psi, occ, opt, opt.max_iter);
 
   if (!want_hybrid) {
-    std::vector<double> rho = ham::compute_density(setup_, ham_.fft_dense(), psi, occ, comm, true,
-                           ham_.options().op_pipeline);
+    std::vector<double> rho = ham::compute_density(setup_, ham_.fft_dense(), psi, occ, comm);
     ham_.update_density(rho);
     res.energy = ham::compute_energy(ham_, psi, occ, rho, comm);
     return res;
@@ -124,8 +119,7 @@ ScfResult GroundStateSolver::solve(CMatrix& psi, std::span<const double> occ,
     res.rho_error = inner.rho_error;
     res.outer_iterations = outer + 1;
 
-    std::vector<double> rho = ham::compute_density(setup_, ham_.fft_dense(), psi, occ, comm, true,
-                           ham_.options().op_pipeline);
+    std::vector<double> rho = ham::compute_density(setup_, ham_.fft_dense(), psi, occ, comm);
     ham_.update_density(rho);
     ham_.request_ace_refresh();
     ham_.set_exchange_orbitals(psi, occ, bands, comm);

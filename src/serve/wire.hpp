@@ -75,9 +75,8 @@ ErrorCode decode_frame(const std::uint8_t* data, std::size_t size, Frame* out,
 
 void put_spec(frame::PutBuf& out, const JobSpec& spec);
 /// Field-by-field decode; false on overrun (caller maps to kBadFrame).
-/// Performance knobs that are server-side configuration (FockOptions, the
-/// operator pipeline mode) are not on the wire — results are bit-identical
-/// across those modes, so the server's own resolution applies.
+/// Performance knobs that are server-side configuration (FockOptions) are
+/// not on the wire, so the server's own settings apply.
 bool get_spec(frame::GetBuf& in, JobSpec* spec);
 
 void put_status(frame::PutBuf& out, const JobStatus& status);

@@ -41,8 +41,7 @@ CnStepReport CnPropagator::step(CMatrix& psi_local, std::span<const double> occ_
 
   // RHS: Psi_half = Psi_n - i dt/2 H_n Psi_n  (no gauge term).
   ham_.set_vector_potential(field.vector_potential(t));
-  auto rho = ham::compute_density(ham_.setup(), ham_.fft_dense(), psi_local, occ_local, comm,
-                                  true, ham_.options().op_pipeline);
+  auto rho = ham::compute_density(ham_.setup(), ham_.fft_dense(), psi_local, occ_local, comm);
   ham_.update_density(rho);
   CMatrix hpsi;
   ham_.register_and_apply(psi_local, occ_global, bands_, hpsi, comm, timers);
@@ -51,8 +50,7 @@ CnStepReport CnPropagator::step(CMatrix& psi_local, std::span<const double> occ_
   detail::add_scaled(-i_half_dt, hpsi, psi_half);
   CMatrix psi_f = psi_half;
 
-  auto rho_f = ham::compute_density(ham_.setup(), ham_.fft_dense(), psi_f, occ_local, comm, true,
-                                    ham_.options().op_pipeline);
+  auto rho_f = ham::compute_density(ham_.setup(), ham_.fft_dense(), psi_f, occ_local, comm);
   ham_.set_vector_potential(field.vector_potential(t + opt_.dt));
 
   for (int it = 0; it < opt_.max_scf; ++it) {
@@ -88,8 +86,7 @@ CnStepReport CnPropagator::step(CMatrix& psi_local, std::span<const double> occ_
 
     detail::anderson_mix_bands(mixers_, rf, psi_f);
 
-    auto rho_new = ham::compute_density(ham_.setup(), ham_.fft_dense(), psi_f, occ_local, comm, true,
-                                    ham_.options().op_pipeline);
+    auto rho_new = ham::compute_density(ham_.setup(), ham_.fft_dense(), psi_f, occ_local, comm);
     report.rho_error = ham::density_error(ham_.setup(), rho_new, rho_f);
     rho_f = std::move(rho_new);
     report.scf_iterations = it + 1;

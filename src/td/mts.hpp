@@ -14,8 +14,7 @@
 /// Determinism contract (docs/threading.md): the refresh cadence is
 /// counter-based and the drift monitor is a deterministic reduction, so
 /// the rebuild pattern — and with it the physics — is bit-identical across
-/// thread width, pipeline mode, and Comm backend, and never depends on
-/// wall-clock time.
+/// thread width and Comm backend, and never depends on wall-clock time.
 
 #include <span>
 

@@ -113,8 +113,7 @@ PtCnStepReport PtCnPropagator::step(CMatrix& psi_local, std::span<const double> 
   std::vector<double> rho;
   {
     ScopedTimer st(*timers, "density");
-    rho = ham::compute_density(ham_.setup(), ham_.fft_dense(), psi_local, occ_local, comm,
-                               true, ham_.options().op_pipeline);
+    rho = ham::compute_density(ham_.setup(), ham_.fft_dense(), psi_local, occ_local, comm);
   }
   {
     ScopedTimer st(*timers, "others");
@@ -168,8 +167,7 @@ PtCnStepReport PtCnPropagator::step(CMatrix& psi_local, std::span<const double> 
   std::vector<double> rho_f;
   {
     ScopedTimer st(*timers, "density");
-    rho_f = ham::compute_density(ham_.setup(), ham_.fft_dense(), psi_f, occ_local, comm, true,
-                                 ham_.options().op_pipeline);
+    rho_f = ham::compute_density(ham_.setup(), ham_.fft_dense(), psi_f, occ_local, comm);
   }
   {
     ScopedTimer st(*timers, "residual");
@@ -208,8 +206,7 @@ PtCnStepReport PtCnPropagator::step(CMatrix& psi_local, std::span<const double> 
     std::vector<double> rho_new;
     {
       ScopedTimer st(*timers, "density");
-      rho_new = ham::compute_density(ham_.setup(), ham_.fft_dense(), psi_f, occ_local, comm, true,
-                                 ham_.options().op_pipeline);
+      rho_new = ham::compute_density(ham_.setup(), ham_.fft_dense(), psi_f, occ_local, comm);
     }
     report.rho_error = ham::density_error(ham_.setup(), rho_new, rho_f);
     rho_f = std::move(rho_new);

@@ -20,8 +20,7 @@ void Rk4Propagator::derivative(const CMatrix& psi, std::span<const double> occ_l
   ham_.set_vector_potential(field.vector_potential(t));
   {
     ScopedTimer st(*timers, "density");
-    auto rho = ham::compute_density(ham_.setup(), ham_.fft_dense(), psi, occ_local, comm, true,
-                                    ham_.options().op_pipeline);
+    auto rho = ham::compute_density(ham_.setup(), ham_.fft_dense(), psi, occ_local, comm);
     ham_.update_density(rho);
   }
   ham_.register_and_apply(psi, occ_global, bands_, k, comm, timers);

@@ -155,11 +155,11 @@ TEST(Ace, PtCnStepWithAceMatchesDirectFock) {
   EXPECT_LT(test::max_abs_diff(psi_a, psi_b), 1e-5);
 }
 
-TEST(Ace, BuildAndApplyBitIdenticalAcrossWidthPipeline) {
+TEST(Ace, BuildAndApplyBitIdenticalAcrossWidth) {
   // The fixed-reduction-order contract (docs/threading.md) extended to
   // ACE: build (exact Fock apply + serial dense algebra on transposed
   // G-layout blocks) and apply_add must produce identical bits whatever
-  // the engine width and operator pipeline mode.
+  // the engine width.
   ThreadGuard guard;
   auto setup = test::make_si8_setup(3.0, 1);
   const std::size_t nb = 6;
@@ -170,25 +170,18 @@ TEST(Ace, BuildAndApplyBitIdenticalAcrossWidthPipeline) {
   par::BlockPartition bands(nb, 1);
 
   CMatrix ref;
-  bool have_ref = false;
   for (std::size_t nt : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
-    for (fft::PipelineMode pipe : {fft::PipelineMode::kFused, fft::PipelineMode::kStaged}) {
-      exec::set_num_threads(nt);
-      ham::FockOptions fopt;
-      fopt.op_pipeline = pipe;
-      ham::FockOperator fock(setup, hse(), fopt);
-      fock.set_orbitals(phi, occ, bands, comm);
-      ham::AceOperator ace(setup);
-      ace.build(fock, phi, comm);
-      CMatrix y(setup.n_g(), nb, Complex{0, 0});
-      ace.apply_add(x, y, comm);
-      if (!have_ref) {
-        ref = y;
-        have_ref = true;
-      } else {
-        EXPECT_EQ(test::max_abs_diff(y, ref), 0.0)
-            << "nt=" << nt << " pipeline=" << static_cast<int>(pipe);
-      }
+    exec::set_num_threads(nt);
+    ham::FockOperator fock(setup, hse());
+    fock.set_orbitals(phi, occ, bands, comm);
+    ham::AceOperator ace(setup);
+    ace.build(fock, phi, comm);
+    CMatrix y(setup.n_g(), nb, Complex{0, 0});
+    ace.apply_add(x, y, comm);
+    if (ref.empty()) {
+      ref = y;
+    } else {
+      EXPECT_EQ(test::max_abs_diff(y, ref), 0.0) << "nt=" << nt;
     }
   }
 }

@@ -206,37 +206,36 @@ TEST(BandParallel, PtCnStepBitIdenticalAcrossThreadCounts) {
 }
 
 TEST(BandParallel, DensityLineSplitBitIdenticalToBandPath) {
-  // Hybrid band×line schedule: with fewer bands than threads the transforms
-  // run as one batched (band × line) pass. Same per-line kernels, same
-  // fixed-chunk reduction — byte-identical to the band path at any width.
+  // Hybrid band×line schedule: with fewer bands than threads (nb = 3 at
+  // width 4) the density runs as one whole-operator pipeline; at widths 1
+  // and 2 it takes the band path. Same per-line kernels, same fixed-chunk
+  // reduction — byte-identical across the switch.
   ThreadGuard guard;
   auto setup = test::make_si8_setup(3.0, 1);
-  const std::size_t nb = 3;  // below the widest engine in the sweep
+  const std::size_t nb = 3;
   CMatrix psi = test::random_orthonormal(setup, nb, 59);
   std::vector<double> occ(nb, 2.0);
   par::SerialComm comm;
   fft::Fft3D fft_dense(setup.dense_grid.dims());
 
   std::vector<double> ref;
-  for (bool split : {false, true}) {
-    for (std::size_t nt : kThreadCounts) {
-      exec::set_num_threads(nt);
-      auto rho = ham::compute_density(setup, fft_dense, psi, occ, comm, split);
-      if (ref.empty()) {
-        ref = rho;
-      } else {
-        ASSERT_EQ(rho.size(), ref.size());
-        for (std::size_t i = 0; i < rho.size(); ++i)
-          ASSERT_EQ(rho[i], ref[i]) << "i=" << i << " nt=" << nt << " split=" << split;
-      }
+  for (std::size_t nt : kThreadCounts) {
+    exec::set_num_threads(nt);
+    auto rho = ham::compute_density(setup, fft_dense, psi, occ, comm);
+    if (ref.empty()) {
+      ref = rho;
+    } else {
+      ASSERT_EQ(rho.size(), ref.size());
+      for (std::size_t i = 0; i < rho.size(); ++i)
+        ASSERT_EQ(rho[i], ref[i]) << "i=" << i << " nt=" << nt;
     }
   }
 }
 
 TEST(BandParallel, HamiltonianApplyLineSplitBitIdenticalToBandPath) {
-  // Narrow block (2 bands) with the hybrid split forced on and off at every
-  // width: the batched (band × line) formulation must reproduce the
-  // band-parallel loop byte for byte, including the Fock term whose narrow
+  // Narrow block (2 bands): the band path at widths 1 and 2, the
+  // whole-operator pipeline at width 4. The pipeline must reproduce the
+  // band-parallel loop byte for byte, including the Fock term, whose narrow
   // windows switch to the band-serial/line-parallel schedule.
   ThreadGuard guard;
   auto setup = test::make_si8_setup(3.0, 1);
@@ -248,128 +247,29 @@ TEST(BandParallel, HamiltonianApplyLineSplitBitIdenticalToBandPath) {
   par::BlockPartition bands(nb, 1);
 
   CMatrix ref;
-  for (bool split : {false, true}) {
-    for (std::size_t nt : kThreadCounts) {
-      exec::set_num_threads(nt);
-      auto options = test::fast_hybrid_options();
-      options.band_line_split = split;
-      options.fock.band_line_split = split;
-      ham::Hamiltonian h(setup, species, options);
-      auto rho = ham::compute_density(setup, h.fft_dense(), psi, occ, comm, split);
-      h.update_density(rho);
-      h.set_exchange_orbitals(psi, occ, bands, comm);
-      CMatrix y;
-      h.apply(psi, y, comm);
-      if (ref.empty()) {
-        ref = y;
-      } else {
-        EXPECT_EQ(test::max_abs_diff(y, ref), 0.0) << "nt=" << nt << " split=" << split;
-      }
+  for (std::size_t nt : kThreadCounts) {
+    exec::set_num_threads(nt);
+    ham::Hamiltonian h(setup, species, test::fast_hybrid_options());
+    auto rho = ham::compute_density(setup, h.fft_dense(), psi, occ, comm);
+    h.update_density(rho);
+    h.set_exchange_orbitals(psi, occ, bands, comm);
+    CMatrix y;
+    h.apply(psi, y, comm);
+    if (ref.empty()) {
+      ref = y;
+    } else {
+      EXPECT_EQ(test::max_abs_diff(y, ref), 0.0) << "nt=" << nt;
     }
   }
 }
 
-TEST(BandParallel, FockNarrowWindowLineSplitBitIdentical) {
-  // band_window = 1 makes every window a single task — the extreme case for
-  // the band-serial/line-parallel Fock schedule.
-  ThreadGuard guard;
-  auto setup = test::make_si8_setup(3.0, 1);
-  const std::size_t nb = 4;
-  CMatrix phi = test::random_orthonormal(setup, nb, 67);
-  std::vector<double> occ(nb, 2.0);
-  par::SerialComm comm;
-  par::BlockPartition bands(nb, 1);
-
-  CMatrix ref;
-  for (bool split : {false, true}) {
-    for (std::size_t nt : kThreadCounts) {
-      exec::set_num_threads(nt);
-      ham::FockOptions fopt;
-      fopt.band_window = 1;
-      fopt.band_line_split = split;
-      ham::FockOperator fock(setup, xc::HybridParams{true, 0.25, 0.11}, fopt);
-      fock.set_orbitals(phi, occ, bands, comm);
-      CMatrix y(setup.n_g(), nb, Complex{0.0, 0.0});
-      fock.apply_add(phi, y, comm);
-      if (ref.empty()) {
-        ref = y;
-      } else {
-        EXPECT_EQ(test::max_abs_diff(y, ref), 0.0) << "nt=" << nt << " split=" << split;
-      }
-    }
-  }
-}
-
-TEST(BandParallel, DensityPipelineModesBitIdenticalAcrossWidth) {
-  // The whole-operator density pipeline (one cached-graph replay) against
-  // the staged formulation at widths 1/2/4 — every combination must produce
-  // the same bytes. nb = 3 keeps the block narrow at width 4 so the
-  // pipeline actually engages.
-  ThreadGuard guard;
-  auto setup = test::make_si8_setup(3.0, 1);
-  const std::size_t nb = 3;
-  CMatrix psi = test::random_orthonormal(setup, nb, 71);
-  std::vector<double> occ(nb, 2.0);
-  par::SerialComm comm;
-
-  std::vector<double> ref;
-  fft::Fft3D fft_dense(setup.dense_grid.dims());
-  for (const auto mode : {fft::PipelineMode::kStaged, fft::PipelineMode::kFused}) {
-    for (std::size_t nt : kThreadCounts) {
-      exec::set_num_threads(nt);
-      auto rho = ham::compute_density(setup, fft_dense, psi, occ, comm, true, mode);
-      if (ref.empty()) {
-        ref = rho;
-      } else {
-        ASSERT_EQ(rho.size(), ref.size());
-        for (std::size_t i = 0; i < rho.size(); ++i)
-          ASSERT_EQ(rho[i], ref[i]) << "i=" << i << " nt=" << nt;
-      }
-    }
-  }
-}
-
-TEST(BandParallel, HamiltonianPipelineModesBitIdenticalAcrossWidth) {
-  // Fused vs staged whole-operator pipelines through the full hybrid
-  // Hamiltonian (the Fock pair solves run their own fused pipelines) at
-  // widths 1/2/4: byte equality everywhere.
-  ThreadGuard guard;
-  auto setup = test::make_si8_setup(3.0, 1);
-  auto species = pseudo::PseudoSpecies::silicon(true);
-  const std::size_t nb = 2;
-  CMatrix psi = test::random_orthonormal(setup, nb, 73);
-  std::vector<double> occ(nb, 2.0);
-  par::SerialComm comm;
-  par::BlockPartition bands(nb, 1);
-
-  CMatrix ref;
-  for (const auto mode : {fft::PipelineMode::kStaged, fft::PipelineMode::kFused}) {
-    for (std::size_t nt : kThreadCounts) {
-      exec::set_num_threads(nt);
-      auto options = test::fast_hybrid_options();
-      options.op_pipeline = mode;  // fock inherits via normalize()
-      ham::Hamiltonian h(setup, species, options);
-      auto rho = ham::compute_density(setup, h.fft_dense(), psi, occ, comm, true, mode);
-      h.update_density(rho);
-      h.set_exchange_orbitals(psi, occ, bands, comm);
-      CMatrix y;
-      h.apply(psi, y, comm);
-      if (ref.empty()) {
-        ref = y;
-      } else {
-        EXPECT_EQ(test::max_abs_diff(y, ref), 0.0)
-            << "nt=" << nt << " fused=" << (mode == fft::PipelineMode::kFused);
-      }
-    }
-  }
-}
-
-TEST(BandParallel, FockPipelineModesBitIdenticalAcrossWidth) {
-  // The fused pair-solve pipeline (multiply/solve stages chained into the
-  // same graph as the FFT passes) vs the staged loops, wide and narrow
-  // windows, at widths 1/2/4 — for the general apply, the self-apply (its
-  // mirrored slices over two column blocks, a half-filled and an empty
-  // band) and the pair-density exchange energy.
+TEST(BandParallel, FockLineSplitBitIdenticalAcrossWindowAndWidth) {
+  // The Fock pair-solve pipelines, wide and narrow windows, at widths
+  // 1/2/4 — for the general apply, the self-apply (its mirrored slices
+  // over two column blocks, a half-filled and an empty band) and the
+  // pair-density exchange energy. band_window = 1 at batch 4 gives each
+  // window 2 tasks, fewer than width 4: the band-serial/line-parallel
+  // schedule, against the band-parallel one everywhere else.
   ThreadGuard guard;
   auto setup = test::make_si8_setup(3.0, 1);
   const std::size_t nb = 6;
@@ -380,34 +280,29 @@ TEST(BandParallel, FockPipelineModesBitIdenticalAcrossWidth) {
 
   CMatrix ref, ref_self;
   double ref_energy = 0.0;
-  for (const auto mode : {fft::PipelineMode::kStaged, fft::PipelineMode::kFused}) {
-    for (std::size_t window : {1u, 4u}) {
-      for (std::size_t nt : kThreadCounts) {
-        exec::set_num_threads(nt);
-        ham::FockOptions fopt;
-        fopt.band_window = window;
-        fopt.batch_size = 4;
-        fopt.op_pipeline = mode;
-        ham::FockOperator fock(setup, xc::HybridParams{true, 0.25, 0.11}, fopt);
-        fock.set_orbitals(phi, occ, bands, comm);
-        CMatrix y(setup.n_g(), nb, Complex{0.0, 0.0});
-        fock.apply_add(phi, y, comm);
-        CMatrix y_self(setup.n_g(), nb, Complex{0.0, 0.0});
-        fock.apply_self_add(y_self, comm);
-        const double energy = fock.exchange_energy(comm);
-        if (ref.empty()) {
-          ref = y;
-          ref_self = y_self;
-          ref_energy = energy;
-        } else {
-          const std::string where = "nt=" + std::to_string(nt) + " window=" +
-                                    std::to_string(window) +
-                                    " fused=" + std::to_string(mode == fft::PipelineMode::kFused);
-          EXPECT_EQ(std::memcmp(y.data(), ref.data(), y.size() * sizeof(Complex)), 0) << where;
-          EXPECT_EQ(std::memcmp(y_self.data(), ref_self.data(), y.size() * sizeof(Complex)), 0)
-              << where;
-          EXPECT_EQ(std::memcmp(&energy, &ref_energy, sizeof(double)), 0) << where;
-        }
+  for (std::size_t window : {1u, 4u}) {
+    for (std::size_t nt : kThreadCounts) {
+      exec::set_num_threads(nt);
+      ham::FockOptions fopt;
+      fopt.band_window = window;
+      fopt.batch_size = 4;
+      ham::FockOperator fock(setup, xc::HybridParams{true, 0.25, 0.11}, fopt);
+      fock.set_orbitals(phi, occ, bands, comm);
+      CMatrix y(setup.n_g(), nb, Complex{0.0, 0.0});
+      fock.apply_add(phi, y, comm);
+      CMatrix y_self(setup.n_g(), nb, Complex{0.0, 0.0});
+      fock.apply_self_add(y_self, comm);
+      const double energy = fock.exchange_energy(comm);
+      if (ref.empty()) {
+        ref = y;
+        ref_self = y_self;
+        ref_energy = energy;
+      } else {
+        const std::string where = "nt=" + std::to_string(nt) + " window=" + std::to_string(window);
+        EXPECT_EQ(std::memcmp(y.data(), ref.data(), y.size() * sizeof(Complex)), 0) << where;
+        EXPECT_EQ(std::memcmp(y_self.data(), ref_self.data(), y.size() * sizeof(Complex)), 0)
+            << where;
+        EXPECT_EQ(std::memcmp(&energy, &ref_energy, sizeof(double)), 0) << where;
       }
     }
   }

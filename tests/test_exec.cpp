@@ -512,7 +512,6 @@ TEST(OperatorPipeline, NarrowHamiltonianApplyIsOneWake) {
   auto species = pseudo::PseudoSpecies::silicon(true);
   ham::HamiltonianOptions opt;
   opt.hybrid.enabled = false;
-  opt.op_pipeline = fft::PipelineMode::kFused;
   ham::Hamiltonian h(setup, species, opt);
   par::SerialComm comm;
   Rng rng(71);
@@ -538,19 +537,12 @@ TEST(OperatorPipeline, NarrowDensityIsOneWake) {
   for (std::size_t i = 0; i < psi.size(); ++i) psi.data()[i] = rng.complex_normal();
   std::vector<double> occ(2, 2.0);
   par::SerialComm comm;
-  (void)ham::compute_density(setup, fft_dense, psi, occ, comm, true,
-                             fft::PipelineMode::kFused);  // warm-up
+  (void)ham::compute_density(setup, fft_dense, psi, occ, comm);  // warm-up
   const std::uint64_t g0 = exec::pool().graph_jobs();
   const std::uint64_t r0 = exec::pool().range_jobs();
-  auto rho = ham::compute_density(setup, fft_dense, psi, occ, comm, true,
-                                  fft::PipelineMode::kFused);
+  (void)ham::compute_density(setup, fft_dense, psi, occ, comm);
   EXPECT_EQ(exec::pool().graph_jobs() - g0, 1u);
   EXPECT_EQ(exec::pool().range_jobs() - r0, 0u);
-  // And it matches the staged formulation byte for byte.
-  auto rho_staged = ham::compute_density(setup, fft_dense, psi, occ, comm, true,
-                                         fft::PipelineMode::kStaged);
-  ASSERT_EQ(rho.size(), rho_staged.size());
-  for (std::size_t i = 0; i < rho.size(); ++i) ASSERT_EQ(rho[i], rho_staged[i]) << "i=" << i;
 }
 
 TEST(GraphCache, DistinguishesLineMaskContent) {
@@ -733,34 +725,34 @@ TEST(GraphCache, FullCacheFallsBackToStagedExecution) {
 TEST(GraphCache, HamiltonianCacheKeySweep) {
   // Alternating band counts through one Hamiltonian: each block width is
   // its own pipeline graph; replaying a stale shape would transform the
-  // wrong batch count. Every fused apply is checked against a staged-mode
-  // Hamiltonian sharing the same state.
+  // wrong batch count. Every narrow apply at width 4 is checked against the
+  // band path of the same Hamiltonian at width 1.
   ThreadGuard guard;
   ParallelReplayGuard preplay;
-  exec::set_num_threads(4);
   ham::PlanewaveSetup setup(crystal::Crystal::silicon_supercell(1, 1, 1), 4.0, 1);
   auto species = pseudo::PseudoSpecies::silicon(true);
-  ham::HamiltonianOptions fused_opt;
-  fused_opt.hybrid.enabled = false;
-  fused_opt.op_pipeline = fft::PipelineMode::kFused;
-  ham::HamiltonianOptions staged_opt = fused_opt;
-  staged_opt.op_pipeline = fft::PipelineMode::kStaged;
-  ham::Hamiltonian h_fused(setup, species, fused_opt);
-  ham::Hamiltonian h_staged(setup, species, staged_opt);
+  ham::HamiltonianOptions opt;
+  opt.hybrid.enabled = false;
+  ham::Hamiltonian h(setup, species, opt);
   par::SerialComm comm;
   Rng rng(83);
   CMatrix psi3(setup.n_g(), 3);
   for (std::size_t i = 0; i < psi3.size(); ++i) psi3.data()[i] = rng.complex_normal();
-  CMatrix y_fused, y_staged;
-  for (const std::size_t nb : {2u, 3u, 2u, 3u, 2u}) {
+  auto first_cols = [&](std::size_t nb) {
     CMatrix psi(setup.n_g(), nb);
-    for (std::size_t j = 0; j < nb; ++j)
-      std::copy_n(psi3.col(j), setup.n_g(), psi.col(j));
-    h_fused.apply(psi, y_fused, comm);
-    h_staged.apply(psi, y_staged, comm);
-    ASSERT_EQ(0, std::memcmp(y_fused.data(), y_staged.data(),
-                             y_fused.size() * sizeof(Complex)))
-        << "nb=" << nb;
+    for (std::size_t j = 0; j < nb; ++j) std::copy_n(psi3.col(j), setup.n_g(), psi.col(j));
+    return psi;
+  };
+  exec::set_num_threads(1);
+  CMatrix ref2, ref3;
+  h.apply(first_cols(2), ref2, comm);
+  h.apply(first_cols(3), ref3, comm);
+  exec::set_num_threads(4);
+  CMatrix y;
+  for (const std::size_t nb : {2u, 3u, 2u, 3u, 2u}) {
+    h.apply(first_cols(nb), y, comm);
+    const CMatrix& ref = nb == 2 ? ref2 : ref3;
+    ASSERT_EQ(0, std::memcmp(y.data(), ref.data(), y.size() * sizeof(Complex))) << "nb=" << nb;
   }
 }
 

@@ -147,10 +147,9 @@ TEST(Fock, BatchedMatchesBandByBand) {
   par::BlockPartition bands(6, 1);
 
   ham::FockOptions batched;
-  batched.batched = true;
   batched.batch_size = 3;
   ham::FockOptions serial_opt;
-  serial_opt.batched = false;
+  serial_opt.batch_size = 1;
 
   ham::FockOperator fb(setup, hse(), batched);
   ham::FockOperator fs(setup, hse(), serial_opt);
